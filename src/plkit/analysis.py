@@ -340,11 +340,8 @@ def prediction_errors(
     info = models.get_model(model_id)
     if info.evaluate is None:
         raise ValueError(f"{info.model_id} has free parameters; fit it instead")
-    errors = np.array([
-        info.evaluate(template.with_distances(b.distance_2d_m, b.distance_3d_m))
-        - b.path_loss_db
-        for b in bins
-    ])
+    g = template.with_distances(_bin_distances(bins, True), _bin_distances(bins, False))
+    errors = info.evaluate(g) - np.array([b.path_loss_db for b in bins])
     n = errors.size
     mu = float(errors.mean())
     sigma = float(np.std(errors, ddof=1)) if n > 1 else 0.0
@@ -461,22 +458,21 @@ def _bins_from_arrays(
     lon = origin.longitude + np.degrees(
         east / (normal * math.cos(math.radians(origin.latitude)))
     )
-    out = []
-    for i in range(d3d.size):
-        out.append(
-            GridBin(
-                index=GridIndex(int(ix[i]), int(iy[i]), grid_size),
-                path_loss_db=float(pl[i]),
-                distance_3d_m=float(d3d[i]),
-                distance_2d_m=float(d2d[i]),
-                sample_count=1,
-                centroid=LocalPoint(float(east[i]), float(north[i]), 0.0),
-                band=band,
-                position=GeodeticPoint(float(lat[i]), float(lon[i]), origin.altitude_agl),
-                los=los,
-            )
+    columns = (ix, iy, pl, d3d, d2d, east, north, lat, lon)
+    return [
+        GridBin(
+            index=GridIndex(i, j, grid_size),
+            path_loss_db=p,
+            distance_3d_m=d3,
+            distance_2d_m=d2,
+            sample_count=1,
+            centroid=LocalPoint(e, n, 0.0),
+            band=band,
+            position=GeodeticPoint(la, lo, origin.altitude_agl),
+            los=los,
         )
-    return out
+        for i, j, p, d3, d2, e, n, la, lo in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def synthesize_samples(
@@ -534,15 +530,14 @@ def synthesize_from_model(
     lo, hi = distance_range_m
     if not (0 < lo < hi):
         raise ValueError(f"invalid distance range ({lo}, {hi})")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if sigma_db < 0:
         raise ValueError("sigma_db must be >= 0")
     rng = np.random.default_rng(seed)
     d2d = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
-    dh = template.h_bs_m - template.h_ut_m
-    d3d = np.hypot(d2d, dh)
-    mean_pl = np.array([info.evaluate(template.with_distances(float(a), float(b)))
-                        for a, b in zip(d2d, d3d)])
-    pl = mean_pl + rng.normal(0.0, sigma_db, n)
+    d3d = np.hypot(d2d, template.h_bs_m - template.h_ut_m)
+    pl = info.evaluate(template.with_distances(d2d, d3d)) + rng.normal(0.0, sigma_db, n)
     bearings = rng.uniform(0.0, 360.0, n)
     return _bins_from_arrays(
         d3d, pl, bearings, template.h_bs_m, template.h_ut_m, origin, band, grid_size, los
@@ -568,7 +563,11 @@ def write_bins_csv(bins: Sequence[GridBin], path) -> None:
 
 
 def read_bins_csv(path, grid_size: float = 5.0) -> list[GridBin]:
-    """Read a bin table back (centroids are not part of the table)."""
+    """Read a bin table back (centroids are not part of the table).
+
+    Rejects, with the line number, rows whose path loss is not finite or
+    whose distances are not finite with 0 < d2d_m <= d3d_m.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -582,12 +581,16 @@ def read_bins_csv(path, grid_size: float = 5.0) -> list[GridBin]:
                 raise ValueError(f"{path}: line {lineno}: wrong field count")
             try:
                 position = GeodeticPoint(float(row[2]), float(row[3])) if row[2] else None
+                d2d, d3d, pl = float(row[4]), float(row[5]), float(row[6])
+                if not (math.isfinite(pl) and 0.0 < d2d <= d3d < math.inf):
+                    raise ValueError("need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
+                                     f"got pl_db={row[6]}, d2d_m={row[4]}, d3d_m={row[5]}")
                 out.append(
                     GridBin(
                         index=GridIndex(int(row[0]), int(row[1]), grid_size),
-                        path_loss_db=float(row[6]),
-                        distance_3d_m=float(row[5]),
-                        distance_2d_m=float(row[4]),
+                        path_loss_db=pl,
+                        distance_3d_m=d3d,
+                        distance_2d_m=d2d,
                         sample_count=int(row[7]),
                         los=row[8],
                         band=row[9],

@@ -71,7 +71,7 @@ def _geometry_from_args(args, bins=None) -> models.LinkGeometry:
 def cmd_models(args) -> int:
     catalog = models.catalog_json()
     if args.out:
-        Path(args.out).write_text(json.dumps(catalog, indent=2) + "\n", encoding="utf-8")
+        Path(args.out).write_text(json.dumps(catalog, indent=2, allow_nan=False) + "\n", encoding="utf-8")
         print(f"wrote {args.out} ({len(catalog)} models)")
     else:
         for entry in catalog:
@@ -242,7 +242,7 @@ def cmd_fit(args) -> int:
     doc = fit.to_json_dict()
     doc["split"] = args.split
     doc["distance"] = args.distance
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     print(f"fit ({args.split}, {args.distance}): a0={fit.a0_db:.2f} dB "
           f"gamma={fit.gamma:.2f} sigma={fit.sigma_db:.2f} dB n={fit.n_bins}")
     print(f"wrote {args.out}")
@@ -258,6 +258,11 @@ def cmd_compare(args) -> int:
         model_ids = [m.strip().upper() for m in model_ids.split(",") if m.strip()]
     if not model_ids:
         model_ids = models.comparable_models()
+    if args.curve_points < 1:
+        raise ValueError("--curve-points must be >= 1")
+    out_dir = args.out or _opt(args, "output_dir")
+    if not out_dir:
+        raise ValueError("an output directory is required (--out or output_dir in the config)")
     template = _geometry_from_args(args, bins)
     if any(m.startswith("TR38901_RMA") for m in model_ids) and (
         args.avg_building_height is None or args.avg_street_width is None
@@ -269,33 +274,30 @@ def cmd_compare(args) -> int:
             file=sys.stderr,
         )
 
+    links = template.with_distances(
+        np.array([b.distance_2d_m for b in bins]), np.array([b.distance_3d_m for b in bins])
+    )
     stats = []
     for mid in model_ids:
         es = analysis.prediction_errors(bins, mid, template)
-        n_flagged = sum(
-            1 for b in bins
-            if models.validity_warnings(
-                mid, template.with_distances(b.distance_2d_m, b.distance_3d_m)
-            )
-        )
+        n_flagged = int(np.count_nonzero(models.out_of_validity(mid, links)))
         entry = {"model": models.get_model(mid).model_id, "out_of_validity_bins": n_flagged}
         entry.update(es.to_json_dict())
         stats.append(entry)
     stats.sort(key=lambda e: e["rmse"])
 
-    out_dir = Path(_opt(args, "output_dir") or args.out)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     errors_path = out_dir / "errors.json"
-    errors_path.write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+    errors_path.write_text(json.dumps(stats, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
-    d2d = sorted(b.distance_2d_m for b in bins)
-    sweep = np.geomspace(d2d[0], d2d[-1], args.curve_points)
-    sweep[-1] = d2d[-1]
+    sweep = np.geomspace(links.d2d_m.min(), links.d2d_m.max(), args.curve_points)
+    sweep[-1] = links.d2d_m.max()
     curves_path = out_dir / "model_curves.csv"
     with open(curves_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("model,d2d_m,pl_db\n")
         for mid in model_ids:
-            series = models.predict_series(mid, template, [float(d) for d in sweep])
+            series = models.predict_series(mid, template, sweep)
             for d, pl in zip(series.distances_m, series.path_loss_db):
                 fh.write(f"{series.model_id},{repr(d)},{repr(pl)}\n")
 
@@ -315,7 +317,7 @@ def cmd_offset(args) -> int:
         raise ValueError("the two bin tables share no grid cells")
     offset, sigma = analysis.frequency_offset(pairs)
     doc = {"offset_db": offset, "sigma_db": sigma, "n_pairs": len(pairs)}
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     print(f"offset: {offset:.2f} dB (sigma {sigma:.2f} dB, {len(pairs)} paired bins)")
     print(f"wrote {args.out}")
     return 0
@@ -422,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--avg-street-width", type=float, default=None)
     p.add_argument("--curve-points", dest="curve_points", type=int, default=200)
     p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", default=None,
+                   help="output directory (default: the config's output_dir)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("offset", help="band-to-band path-loss offset on shared bins")
