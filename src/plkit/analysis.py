@@ -10,10 +10,11 @@ shadow-fading distribution checks, and outdoor-to-indoor CDFs.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,16 +25,16 @@ from .geo import (
     GridIndex,
     LocalPoint,
     Polygon,
-    azimuth_elevation,
-    bin_index,
-    distance_2d,
-    distance_3d,
-    earth_radii,
-    from_local,
-    point_in_ring,
+    hypot,
+    link_angles,
+    points_in_ring,
+    project,
     project_polygon,
-    to_local,
+    unproject,
 )
+
+# unused here, but perfbench/tracing.py wraps these names in this module
+from .geo import from_local, point_in_ring, to_local  # noqa: F401
 from .ingest import IndoorSession, MeasurementSample, SiteConfig
 
 LOS_LABELS = ("LOS", "NLOS", "UNKNOWN")
@@ -71,6 +72,84 @@ class GridBin:
             raise ValueError("sample_count must be >= 1")
         if self.los not in LOS_LABELS:
             raise ValueError(f"los must be one of {LOS_LABELS}")
+
+
+@dataclass(frozen=True)
+class SampleTable:
+    """Measurement samples as equal-length numpy columns, the input from
+    which :func:`aggregate_bins` builds a :class:`BinTable`."""
+
+    lat: np.ndarray
+    lon: np.ndarray
+    alt: np.ndarray  # receiver altitude above ground, m
+    rx_dbm: np.ndarray
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[MeasurementSample]) -> "SampleTable":
+        samples = list(samples)
+        return cls(
+            np.array([s.position.latitude for s in samples], dtype=float),
+            np.array([s.position.longitude for s in samples], dtype=float),
+            np.array([s.position.altitude_agl for s in samples], dtype=float),
+            np.array([s.received_power_dbm for s in samples], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return self.rx_dbm.size
+
+
+_BIN_COLUMNS = ("ix", "iy", "east", "north", "up", "rx_dbm", "count",
+                "pl_db", "d2d_m", "d3d_m", "lat", "lon", "los")
+
+
+@dataclass(frozen=True)
+class BinTable:
+    """Grid bins as equal-length numpy columns, plus band and grid metadata.
+
+    The ``bin`` command runs on one table: :func:`aggregate_bins` fills the
+    cell index, the centroid (east/north/up in m on the tangent plane at
+    the site), the median received power and the sample count;
+    :func:`extract_path_loss` the path loss, the 2D/3D distances and the
+    centroid's lat/lon (NaN until then); :func:`classify_los` the labels
+    ("UNKNOWN" until then).
+    """
+
+    ix: np.ndarray
+    iy: np.ndarray
+    east: np.ndarray
+    north: np.ndarray
+    up: np.ndarray
+    rx_dbm: np.ndarray
+    count: np.ndarray
+    pl_db: np.ndarray
+    d2d_m: np.ndarray
+    d3d_m: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    los: np.ndarray
+    grid_size: float = 5.0
+    band: str = ""
+
+    @classmethod
+    def aggregated(cls, ix, iy, east, north, up, rx_dbm, count, grid_size) -> "BinTable":
+        """A table of aggregates, before the link budget."""
+        ints = [np.asarray(v, dtype=np.int64) for v in (ix, iy)]
+        floats = [np.asarray(v, dtype=float) for v in (east, north, up, rx_dbm)]
+        n = ints[0].size
+        return cls(*ints, *floats, np.asarray(count, dtype=np.int64),
+                   *(np.full(n, np.nan) for _ in range(5)), np.full(n, "UNKNOWN"),
+                   grid_size=grid_size)
+
+    def __len__(self) -> int:
+        return self.ix.size
+
+    def take(self, rows) -> "BinTable":
+        """The bins selected by a boolean mask or an index array."""
+        return replace(self, **{c: getattr(self, c)[rows] for c in _BIN_COLUMNS})
+
+    def columns(self, *names: str) -> list[list]:
+        """The named columns as Python lists."""
+        return [getattr(self, c).tolist() for c in names]
 
 
 @dataclass(frozen=True)
@@ -155,120 +234,179 @@ class ShadowFading:
     hist_counts: np.ndarray
 
 
+def _cell_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean of each cell's run of ``values`` summed in member order, as
+    ``np.mean`` sums: left to right below 8 members, numpy's pairwise sum
+    from 8 on (few cells), so centroids match a per-cell ``mean`` exactly."""
+    small = counts < 8
+    sums = np.zeros(starts.size)
+    for k in range(7):
+        rows = small & (counts > k)
+        sums[rows] += values[starts[rows] + k]
+    means = sums / counts
+    for g in np.flatnonzero(~small):
+        means[g] = values[starts[g]:starts[g] + counts[g]].mean()
+    return means
+
+
+def _aggregate(samples: SampleTable, origin: GeodeticPoint, grid_size: float) -> BinTable:
+    if grid_size <= 0:
+        raise ValueError("grid_size must be > 0")
+    east, north = project(origin, samples.lat, samples.lon)
+    up = samples.alt - origin.altitude_agl
+    power = samples.rx_dbm
+    ix = np.floor(east / grid_size).astype(np.int64)
+    iy = np.floor(north / grid_size).astype(np.int64)
+    # cells in (ix, iy) order; members sorted by (east, north, up, power)
+    order = np.lexsort((power, up, north, east, iy, ix))
+    by_power = np.lexsort((power, iy, ix))
+    ix, iy = ix[order], iy[order]
+    first = np.ones(ix.size, dtype=bool)
+    first[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, ix.size))
+    ranked = power[by_power]
+    mid = starts + counts // 2
+    median = np.where(counts % 2 == 1, ranked[mid], (ranked[mid - 1] + ranked[mid]) / 2.0)
+    return BinTable.aggregated(
+        ix[starts], iy[starts],
+        *(_cell_means(v[order], starts, counts) for v in (east, north, up)),
+        median, counts, grid_size,
+    )
+
+
 def aggregate_bins(
-    samples: Iterable[MeasurementSample],
+    samples: Union[SampleTable, Iterable[MeasurementSample]],
     origin: GeodeticPoint,
     grid_size: float = 5.0,
-) -> list[BinAggregate]:
+) -> Union[BinTable, list[BinAggregate]]:
     """Median received power per square grid cell.
 
     The median uses the mean-of-middle-two convention for even counts; the
     centroid is the mean member position. Members are sorted before
-    reducing so the result is exactly independent of input order.
+    reducing so the result is exactly independent of input order. A
+    :class:`SampleTable` gives a :class:`BinTable` in cell order;
+    MeasurementSample objects give the same bins as BinAggregate objects.
     """
-    groups: dict[tuple[int, int], list[tuple[float, float, float, float]]] = {}
-    for s in samples:
-        lp = to_local(origin, s.position)
-        key = bin_index(lp, grid_size).key
-        groups.setdefault(key, []).append((lp.east, lp.north, lp.up, s.received_power_dbm))
-    out = []
-    for key in sorted(groups):
-        members = sorted(groups[key])
-        arr = np.array(members)
-        east, north, up = arr[:, 0].mean(), arr[:, 1].mean(), arr[:, 2].mean()
-        median = float(np.median(arr[:, 3]))
-        out.append(
-            BinAggregate(
-                index=GridIndex(key[0], key[1], grid_size),
-                centroid=LocalPoint(float(east), float(north), float(up)),
-                median_rx_power_dbm=median,
-                sample_count=len(members),
-            )
+    if isinstance(samples, SampleTable):
+        return _aggregate(samples, origin, grid_size)
+    table = _aggregate(SampleTable.from_samples(samples), origin, grid_size)
+    return [
+        BinAggregate(GridIndex(i, j, grid_size), LocalPoint(e, n, u), rx, c)
+        for i, j, e, n, u, rx, c in zip(
+            *table.columns("ix", "iy", "east", "north", "up", "rx_dbm", "count")
         )
-    return out
+    ]
+
+
+def _link_budget(table: BinTable, site: SiteConfig, pattern: AntennaPattern, band: str) -> BinTable:
+    dz = (table.up + site.ue_height_m) - site.antenna_height_agl_m
+    d2d, azimuth, elevation = link_angles(table.east, table.north, dz)
+    at_site = d2d <= 1e-9
+    if at_site.any():
+        k = np.flatnonzero(at_site)
+        warnings.warn(
+            f"{k.size} bin(s) at the site location, first ({table.ix[k[0]]}, "
+            f"{table.iy[k[0]]}); excluded from path loss"
+        )
+        keep = ~at_site
+        table, dz, d2d = table.take(keep), dz[keep], d2d[keep]
+        azimuth, elevation = azimuth[keep], elevation[keep]
+    gain = gain_at(pattern, azimuth, elevation)
+    pl = site.effective_tx_power_dbm + gain + site.rx_gain_dbi - table.rx_dbm
+    if not np.all(pl > 0):
+        raise ValueError(f"path loss must be positive, got {pl[~(pl > 0)][0]}")
+    lat, lon = unproject(site.site_position, table.east, table.north)
+    return replace(table, pl_db=pl, d2d_m=d2d, d3d_m=hypot(d2d, dz), lat=lat, lon=lon, band=band)
 
 
 def extract_path_loss(
-    aggregates: Sequence[BinAggregate],
+    aggregates: Union[BinTable, Sequence[BinAggregate]],
     site: SiteConfig,
     pattern: AntennaPattern,
     band: str = "",
-) -> list[GridBin]:
+) -> Union[BinTable, list[GridBin]]:
     """Link-budget path loss per bin: PL = P_T + G_T(az, el) + G_R - P_R.
 
     Uses the feeder-corrected transmit power, the pattern gain toward the
     bin centroid, and the configured receive gain. Bins right at the site
-    (zero horizontal distance) have no defined azimuth and are dropped
-    with a warning.
+    (zero horizontal distance) have no defined azimuth and are dropped,
+    with one warning for all of them. A BinTable gives a BinTable;
+    BinAggregate objects give GridBin objects.
     """
-    origin = site.site_position
-    bs = LocalPoint(0.0, 0.0, 0.0)
-    out = []
-    for agg in aggregates:
-        d2d = distance_2d(bs, agg.centroid)
-        if d2d <= 1e-9:
-            warnings.warn(
-                f"bin {agg.index.key} sits at the site location; excluded from path loss"
-            )
-            continue
-        az, el = azimuth_elevation(
-            bs, agg.centroid,
-            bs_height=site.antenna_height_agl_m, ue_height=site.ue_height_m,
+    if isinstance(aggregates, BinTable):
+        return _link_budget(aggregates, site, pattern, band)
+    aggregates = list(aggregates)
+    table = _link_budget(
+        BinTable.aggregated(
+            [a.index.ix for a in aggregates], [a.index.iy for a in aggregates],
+            [a.centroid.east for a in aggregates], [a.centroid.north for a in aggregates],
+            [a.centroid.up for a in aggregates], [a.median_rx_power_dbm for a in aggregates],
+            [a.sample_count for a in aggregates],
+            aggregates[0].index.grid_size if aggregates else 5.0,
+        ),
+        site, pattern, band,
+    )
+    altitude = site.site_position.altitude_agl
+    return [
+        GridBin(
+            index=GridIndex(i, j, table.grid_size),
+            path_loss_db=pl,
+            distance_3d_m=d3,
+            distance_2d_m=d2,
+            sample_count=c,
+            centroid=LocalPoint(e, n, u),
+            median_rx_power_dbm=rx,
+            band=band,
+            position=GeodeticPoint(la, lo, altitude + u),
         )
-        g_t = gain_at(pattern, az, el)
-        pl = site.effective_tx_power_dbm + g_t + site.rx_gain_dbi - agg.median_rx_power_dbm
-        d3d = distance_3d(
-            bs, agg.centroid,
-            height_a=site.antenna_height_agl_m, height_b=site.ue_height_m,
-        )
-        out.append(
-            GridBin(
-                index=agg.index,
-                path_loss_db=pl,
-                distance_3d_m=d3d,
-                distance_2d_m=d2d,
-                sample_count=agg.sample_count,
-                centroid=agg.centroid,
-                median_rx_power_dbm=agg.median_rx_power_dbm,
-                band=band,
-                position=from_local(origin, agg.centroid),
-            )
-        )
-    return out
+        for i, j, e, n, u, rx, c, pl, d2, d3, la, lo in zip(*table.columns(
+            "ix", "iy", "east", "north", "up", "rx_dbm", "count",
+            "pl_db", "d2d_m", "d3d_m", "lat", "lon",
+        ))
+    ]
+
+
+def _inside_any(bins, polygons: Sequence[Polygon], origin: GeodeticPoint, purpose: str) -> np.ndarray:
+    """Whether each bin's centroid lies in any of the polygons, projected
+    onto the tangent plane at ``origin``."""
+    if isinstance(bins, BinTable):
+        east, north = bins.east, bins.north
+    else:
+        if any(b.centroid is None for b in bins):
+            raise ValueError(f"bins must carry centroids for {purpose}")
+        east = np.array([b.centroid.east for b in bins], dtype=float)
+        north = np.array([b.centroid.north for b in bins], dtype=float)
+    inside = np.zeros(east.size, dtype=bool)
+    for poly in polygons:
+        inside |= points_in_ring(east, north, project_polygon(origin, poly))
+    return inside
 
 
 def classify_los(
-    bins: Sequence[GridBin], polygons: Sequence[Polygon], origin: GeodeticPoint
-) -> list[GridBin]:
+    bins: Union[BinTable, Sequence[GridBin]], polygons: Sequence[Polygon], origin: GeodeticPoint
+) -> Union[BinTable, list[GridBin]]:
     """Label every bin LOS if its centroid falls in any LOS polygon.
 
     Polygons are projected onto the same tangent plane as the bins. With
     no polygons at all, everything is NLOS.
     """
-    los_rings = [project_polygon(origin, p) for p in polygons if p.label == "LOS"]
-    out = []
-    for b in bins:
-        if b.centroid is None:
-            raise ValueError("bins must carry centroids for LOS classification")
-        inside = any(point_in_ring(b.centroid.east, b.centroid.north, r) for r in los_rings)
-        out.append(replace(b, los="LOS" if inside else "NLOS"))
-    return out
+    los = [p for p in polygons if p.label == "LOS"]
+    labels = np.where(_inside_any(bins, los, origin, "LOS classification"), "LOS", "NLOS")
+    if isinstance(bins, BinTable):
+        return replace(bins, los=labels)
+    return [replace(b, los=label) for b, label in zip(bins, labels.tolist())]
 
 
 def apply_exclusion_mask(
-    bins: Sequence[GridBin], polygons: Sequence[Polygon], origin: GeodeticPoint
-) -> list[GridBin]:
+    bins: Union[BinTable, Sequence[GridBin]], polygons: Sequence[Polygon], origin: GeodeticPoint
+) -> Union[BinTable, list[GridBin]]:
     """Drop bins whose centroid falls inside any mask polygon (label is
     ignored); used to cut out known-bad street segments."""
-    rings = [project_polygon(origin, p) for p in polygons]
-    kept = []
-    for b in bins:
-        if b.centroid is None:
-            raise ValueError("bins must carry centroids for exclusion masking")
-        if any(point_in_ring(b.centroid.east, b.centroid.north, r) for r in rings):
-            continue
-        kept.append(b)
-    return kept
+    masked = _inside_any(bins, polygons, origin, "exclusion masking")
+    if isinstance(bins, BinTable):
+        return bins.take(~masked)
+    return [b for b, m in zip(bins, masked.tolist()) if not m]
 
 
 def _bin_distances(bins: Sequence[GridBin], use_2d: bool) -> np.ndarray:
@@ -452,12 +590,7 @@ def _bins_from_arrays(
     north = d2d * np.cos(np.radians(bearings_deg))
     ix = np.floor(east / grid_size).astype(int)
     iy = np.floor(north / grid_size).astype(int)
-    # vectorized equivalent of geo.from_local for the whole batch
-    meridional, normal = earth_radii(origin.latitude)
-    lat = origin.latitude + np.degrees(north / meridional)
-    lon = origin.longitude + np.degrees(
-        east / (normal * math.cos(math.radians(origin.latitude)))
-    )
+    lat, lon = unproject(origin, east, north)
     columns = (ix, iy, pl, d3d, d2d, east, north, lat, lon)
     return [
         GridBin(
@@ -547,19 +680,30 @@ def synthesize_from_model(
 BIN_FIELDS = ["ix", "iy", "lat", "lon", "d2d_m", "d3d_m", "pl_db", "count", "los", "band"]
 
 
-def write_bins_csv(bins: Sequence[GridBin], path) -> None:
+def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
     """Write the bin table (full float precision so re-parsing is lossless)."""
+    if isinstance(bins, BinTable):
+        if np.isnan(bins.pl_db).any():
+            raise ValueError("bin table has no path loss yet; run extract_path_loss first")
+        ix, iy, lat, lon, d2d, d3d, pl, count, los = bins.columns(
+            "ix", "iy", "lat", "lon", "d2d_m", "d3d_m", "pl_db", "count", "los")
+        rows = zip(ix, iy, *(map(repr, c) for c in (lat, lon, d2d, d3d, pl)),
+                   count, los, itertools.repeat(bins.band))
+    else:
+        rows = (
+            [
+                b.index.ix, b.index.iy,
+                repr(b.position.latitude) if b.position else "",
+                repr(b.position.longitude) if b.position else "",
+                repr(b.distance_2d_m), repr(b.distance_3d_m), repr(b.path_loss_db),
+                b.sample_count, b.los, b.band,
+            ]
+            for b in bins
+        )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BIN_FIELDS)
-        for b in bins:
-            lat = repr(b.position.latitude) if b.position else ""
-            lon = repr(b.position.longitude) if b.position else ""
-            writer.writerow([
-                b.index.ix, b.index.iy, lat, lon,
-                repr(b.distance_2d_m), repr(b.distance_3d_m), repr(b.path_loss_db),
-                b.sample_count, b.los, b.band,
-            ])
+        writer.writerows(rows)
 
 
 def read_bins_csv(path, grid_size: float = 5.0) -> list[GridBin]:

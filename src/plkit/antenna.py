@@ -122,46 +122,53 @@ def envelope(beams) -> AntennaPattern:
     )
 
 
-def gain_at(pattern: AntennaPattern, azimuth_deg: float, elevation_deg: float) -> float:
-    """Bilinearly interpolated gain toward an arbitrary direction.
+def gain_at(pattern: AntennaPattern, azimuth_deg, elevation_deg):
+    """Bilinearly interpolated gain toward arbitrary directions.
 
-    The query is taken relative to the pattern's boresight azimuth and
-    mechanical tilt. Azimuth wraps across 360 -> 0; elevation outside the
-    sampled span is clamped to the nearest edge with a warning (steep
-    depression angles right under a mast routinely exceed pattern files).
+    Takes floats (returns a float) or equal-shape numpy arrays (returns an
+    array). The query is taken relative to the pattern's boresight azimuth
+    and mechanical tilt. Azimuth wraps across 360 -> 0; elevation outside
+    the sampled span is clamped to the nearest edge (steep depression
+    angles right under a mast routinely exceed pattern files), with one
+    warning per call that gives the number of clamped directions and the
+    most extreme elevation.
     """
     az_grid = pattern.azimuth_deg
     el_grid = pattern.elevation_deg
-    az = azimuth_deg - pattern.boresight_azimuth
-    el = elevation_deg - pattern.mechanical_tilt
+    az = np.asarray(azimuth_deg, dtype=float) - pattern.boresight_azimuth
+    el = np.asarray(elevation_deg, dtype=float) - pattern.mechanical_tilt
 
-    if el < el_grid[0] or el > el_grid[-1]:
+    excess = np.maximum(el_grid[0] - el, el - el_grid[-1])
+    clamped = np.count_nonzero(excess > 0.0)
+    if clamped:
         warnings.warn(
-            f"elevation {el:.2f} deg outside sampled range "
-            f"[{el_grid[0]:.1f}, {el_grid[-1]:.1f}]; clamping",
+            f"{clamped} elevation(s) outside sampled range "
+            f"[{el_grid[0]:.1f}, {el_grid[-1]:.1f}] deg, most extreme "
+            f"{el.flat[np.argmax(excess)]:.2f} deg; clamping",
             stacklevel=2,
         )
-        el = min(max(el, el_grid[0]), el_grid[-1])
+        el = np.clip(el, el_grid[0], el_grid[-1])
 
     n_az = az_grid.size
     t = ((az - az_grid[0]) % 360.0) / pattern.azimuth_step
-    i0 = min(int(t), n_az - 1)
+    i0 = np.minimum(t.astype(int), n_az - 1)
     fa = t - i0
     i1 = (i0 + 1) % n_az
 
     n_el = el_grid.size
     u = (el - el_grid[0]) / pattern.elevation_step
-    j0 = min(int(u), n_el - 2)
-    fe = min(max(u - j0, 0.0), 1.0)
+    j0 = np.minimum(u.astype(int), n_el - 2)
+    fe = np.clip(u - j0, 0.0, 1.0)
     j1 = j0 + 1
 
     g = pattern.gain_dbi
-    return float(
+    gain = (
         (1.0 - fa) * (1.0 - fe) * g[i0, j0]
         + fa * (1.0 - fe) * g[i1, j0]
         + (1.0 - fa) * fe * g[i0, j1]
         + fa * fe * g[i1, j1]
     )
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def peak_gain(pattern: AntennaPattern) -> float:

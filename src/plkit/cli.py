@@ -186,29 +186,27 @@ def cmd_bin(args) -> int:
         raise ValueError("no samples")
 
     band = samples[0].band
-    aggregates = analysis.aggregate_bins(samples, site.site_position, grid_size)
-    bins = analysis.extract_path_loss(aggregates, site, pattern, band=band)
+    origin = site.site_position
+    bins = analysis.aggregate_bins(analysis.SampleTable.from_samples(samples), origin, grid_size)
+    bins = analysis.extract_path_loss(bins, site, pattern, band=band)
 
     polygons_path = _opt(args, "polygons")
     if polygons_path:
-        polygons = load_polygons(polygons_path)
-        bins = analysis.classify_los(bins, polygons, site.site_position)
+        bins = analysis.classify_los(bins, load_polygons(polygons_path), origin)
     mask_path = _opt(args, "exclusion_mask")
     if mask_path:
-        bins = analysis.apply_exclusion_mask(bins, load_polygons(mask_path), site.site_position)
-    if not bins:
+        bins = analysis.apply_exclusion_mask(bins, load_polygons(mask_path), origin)
+    if not len(bins):
         raise ValueError("no bins left after extraction/masking")
 
     analysis.write_bins_csv(bins, args.out)
-    d3 = [b.distance_3d_m for b in bins]
     print(f"samples: {len(samples)} (rows {totals['rows']}, "
           f"skipped {totals['skipped']}, filtered {totals['filtered']})")
     print(f"bins: {len(bins)}")
     if polygons_path:
-        weighted = sum(b.sample_count for b in bins)
-        los_weighted = sum(b.sample_count for b in bins if b.los == "LOS")
-        print(f"LOS fraction: {los_weighted / weighted:.2f}")
-    print(f"distance range: {min(d3):.1f} - {max(d3):.1f} m")
+        los_weighted = int(bins.count[bins.los == "LOS"].sum())
+        print(f"LOS fraction: {los_weighted / int(bins.count.sum()):.2f}")
+    print(f"distance range: {bins.d3d_m.min():.1f} - {bins.d3d_m.max():.1f} m")
     print(f"wrote {args.out}")
     return 0
 

@@ -5,6 +5,8 @@ local east/north/up tangent plane at the site, which is accurate well below
 the 5 m bin resolution for typical macro-cell drive radii (a few km).
 Also provides 2D/3D link distances, azimuth/elevation toward a receiver,
 square-grid binning, and polygon containment for LOS classification.
+``project``/``unproject``, ``link_angles``, ``hypot`` and ``points_in_ring``
+take floats or numpy arrays; the point-object functions wrap them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -98,34 +102,79 @@ def earth_radii(latitude_deg: float) -> tuple[float, float]:
     return meridional, normal
 
 
-def to_local(origin: GeodeticPoint, p: GeodeticPoint) -> LocalPoint:
-    """Project a geodetic point onto the tangent plane at ``origin``.
+_RAD = math.pi / 180.0  # math.radians(x) is x * _RAD, bit for bit
+_DEG = 180.0 / math.pi  # math.degrees(x) is x * _DEG, as is np.degrees
+
+
+def _wrap180(deg):
+    """Angle(s) in degrees wrapped into [-180, 180); values already inside
+    come back unchanged, bit for bit. Works on floats and arrays alike."""
+    return deg - 360.0 * (deg >= 180.0) + 360.0 * (deg < -180.0)
+
+
+def project(origin: GeodeticPoint, lat, lon):
+    """(east, north) in meters of latitude/longitude on the tangent plane at
+    ``origin``: the one projection formula, for floats or numpy arrays.
 
     Equirectangular projection with the WGS84 curvature radii evaluated at
-    the origin latitude; up is the altitude difference. Only valid near the
-    origin (refused beyond 1 degree of latitude/longitude offset).
+    the origin latitude; the longitude difference is wrapped into
+    [-180, 180) so points across the antimeridian land next to the origin.
+    Only valid near the origin: refused beyond 1 degree of
+    latitude/longitude offset (the first offending point is named).
     """
-    dlat = p.latitude - origin.latitude
-    dlon = p.longitude - origin.longitude
-    if abs(dlat) >= _MAX_OFFSET_DEG or abs(dlon) >= _MAX_OFFSET_DEG:
+    dlat = lat - origin.latitude
+    dlon = _wrap180(lon - origin.longitude)
+    far = (abs(dlat) >= _MAX_OFFSET_DEG) | (abs(dlon) >= _MAX_OFFSET_DEG)
+    # np.any would cost a microsecond per float; keep the scalar path pure math
+    if far.any() if isinstance(far, np.ndarray) else far:
+        k = np.flatnonzero(far)[0]
         raise ValueError(
-            f"point ({p.latitude}, {p.longitude}) too far from origin "
+            f"point ({np.ravel(lat)[k]}, {np.ravel(lon)[k]}) too far from origin "
             f"({origin.latitude}, {origin.longitude}) for tangent-plane projection"
         )
     meridional, normal = earth_radii(origin.latitude)
-    north = meridional * math.radians(dlat)
-    east = normal * math.cos(math.radians(origin.latitude)) * math.radians(dlon)
+    north = meridional * (dlat * _RAD)
+    east = normal * math.cos(origin.latitude * _RAD) * (dlon * _RAD)
+    return east, north
+
+
+def unproject(origin: GeodeticPoint, east, north):
+    """Inverse of :func:`project` for the same origin: (latitude,
+    longitude) of east/north offsets in meters, floats or numpy arrays.
+    Longitudes are wrapped into [-180, 180)."""
+    meridional, normal = earth_radii(origin.latitude)
+    lat = origin.latitude + (north / meridional) * _DEG
+    lon = origin.longitude + (east / (normal * math.cos(origin.latitude * _RAD))) * _DEG
+    return lat, _wrap180(lon)
+
+
+def to_local(origin: GeodeticPoint, p: GeodeticPoint) -> LocalPoint:
+    """Project a geodetic point onto the tangent plane at ``origin`` (see
+    :func:`project`); up is the altitude difference."""
+    east, north = project(origin, p.latitude, p.longitude)
     return LocalPoint(east, north, p.altitude_agl - origin.altitude_agl)
 
 
 def from_local(origin: GeodeticPoint, p: LocalPoint) -> GeodeticPoint:
     """Inverse of :func:`to_local` for the same origin."""
-    meridional, normal = earth_radii(origin.latitude)
-    lat = origin.latitude + math.degrees(p.north / meridional)
-    lon = origin.longitude + math.degrees(
-        p.east / (normal * math.cos(math.radians(origin.latitude)))
-    )
+    lat, lon = unproject(origin, p.east, p.north)
     return GeodeticPoint(lat, lon, origin.altitude_agl + p.up)
+
+
+def hypot(x, y):
+    """math.hypot of floats, or elementwise of numpy arrays."""
+    return _elementwise(math.hypot, x, y)
+
+
+def _elementwise(fn, x, y):
+    # numpy's hypot and arctan2 differ from libm's in the last bit on a few
+    # percent of inputs; mapping the math function keeps array results
+    # bitwise equal to scalar ones, and bin tables byte-stable
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        return fn(x, y)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    flat = map(fn, x.ravel().tolist(), y.ravel().tolist())
+    return np.fromiter(flat, dtype=float, count=x.size).reshape(x.shape)
 
 
 def distance_2d(a: LocalPoint, b: LocalPoint) -> float:
@@ -156,15 +205,21 @@ def azimuth_elevation(
     north in [0, 360), elevation in [-90, 90] and negative when the UE sits
     below the BS antenna.
     """
-    de = ue.east - bs.east
-    dn = ue.north - bs.north
     dz = (ue.up + ue_height) - (bs.up + bs_height)
-    horiz = math.hypot(de, dn)
+    horiz, azimuth, elevation = link_angles(ue.east - bs.east, ue.north - bs.north, dz)
     if horiz == 0.0 and dz == 0.0:
         raise ValueError("azimuth/elevation undefined for coincident points")
-    azimuth = math.degrees(math.atan2(de, dn)) % 360.0
-    elevation = math.degrees(math.atan2(dz, horiz))
     return azimuth, elevation
+
+
+def link_angles(de, dn, dz):
+    """Ground distance, azimuth and elevation (degrees, as in
+    :func:`azimuth_elevation`) of east/north/up offsets from the BS
+    antenna; floats or equal-shape numpy arrays."""
+    horiz = hypot(de, dn)
+    azimuth = _elementwise(math.atan2, de, dn) * _DEG % 360.0
+    elevation = _elementwise(math.atan2, dz, horiz) * _DEG
+    return horiz, azimuth, elevation
 
 
 def bin_index(p: LocalPoint, grid_size: float = 5.0) -> GridIndex:
@@ -177,39 +232,38 @@ def bin_index(p: LocalPoint, grid_size: float = 5.0) -> GridIndex:
 def _on_segment(x, y, x1, y1, x2, y2, eps=1e-9):
     seg = math.hypot(x2 - x1, y2 - y1)
     if seg == 0.0:
-        return math.hypot(x - x1, y - y1) <= eps
+        return hypot(x - x1, y - y1) <= eps
     cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-    if abs(cross) / seg > eps:
-        return False
     dot = (x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)
-    return -eps * seg <= dot <= seg * seg + eps * seg
+    return (abs(cross) / seg <= eps) & (-eps * seg <= dot) & (dot <= seg * seg + eps * seg)
+
+
+def points_in_ring(x, y, ring) -> np.ndarray:
+    """Even-odd (ray crossing) containment test on planar coordinates, one
+    boolean per point (x[k], y[k]) of equal-shape arrays.
+
+    ``ring`` is a sequence of (x, y) vertices without the closing repeat.
+    Points on the boundary (within 1e-9 of an edge) count as inside. Each
+    edge is tested against all points at once.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    vertices = [(float(vx), float(vy)) for vx, vy in ring]
+    if len(vertices) < 3:
+        raise ValueError("ring needs at least 3 vertices")
+    on_boundary = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    odd = np.zeros_like(on_boundary)
+    for (x1, y1), (x2, y2) in zip(vertices[-1:] + vertices[:-1], vertices):
+        on_boundary |= _on_segment(x, y, x1, y1, x2, y2)
+        if y1 != y2:
+            x_cross = (x1 - x2) * (y - y2) / (y1 - y2) + x2
+            odd ^= ((y2 > y) != (y1 > y)) & (x < x_cross)
+    return on_boundary | odd
 
 
 def point_in_ring(x: float, y: float, ring) -> bool:
-    """Even-odd (ray crossing) containment test on planar coordinates.
-
-    ``ring`` is a sequence of (x, y) vertices without the closing repeat.
-    Points on the boundary count as inside.
-    """
-    n = len(ring)
-    if n < 3:
-        raise ValueError("ring needs at least 3 vertices")
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        if _on_segment(x, y, x1, y1, x2, y2):
-            return True
-    inside = False
-    j = n - 1
-    for i in range(n):
-        xi, yi = ring[i]
-        xj, yj = ring[j]
-        if (yi > y) != (yj > y):
-            x_cross = (xj - xi) * (y - yi) / (yj - yi) + xi
-            if x < x_cross:
-                inside = not inside
-        j = i
-    return inside
+    """:func:`points_in_ring` for a single point."""
+    return bool(points_in_ring(x, y, ring))
 
 
 def project_polygon(origin: GeodeticPoint, poly: Polygon) -> list[tuple[float, float]]:
@@ -228,8 +282,9 @@ def point_in_polygon(p: GeodeticPoint, poly: Polygon) -> bool:
 def load_polygons(path) -> list[Polygon]:
     """Read LOS/NLOS polygons from a GeoJSON FeatureCollection.
 
-    Only the outer ring of each Polygon feature is used. The boolean
-    feature property ``los`` selects the label (missing defaults to LOS).
+    Each feature must be a Polygon with one (outer) ring; holes are
+    rejected rather than ignored. The boolean feature property ``los``
+    selects the label (missing defaults to LOS).
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if data.get("type") != "FeatureCollection":
@@ -242,6 +297,8 @@ def load_polygons(path) -> list[Polygon]:
         rings = geom.get("coordinates") or []
         if not rings:
             raise ValueError(f"feature {i}: polygon has no rings")
+        if len(rings) > 1:
+            raise ValueError(f"feature {i}: interior rings (holes) are not supported")
         outer = rings[0]
         # GeoJSON rings repeat the first coordinate at the end
         if len(outer) >= 2 and outer[0] == outer[-1]:
