@@ -40,7 +40,7 @@ from .ingest import IndoorSession, MeasurementSample, SiteConfig
 LOS_LABELS = ("LOS", "NLOS", "UNKNOWN")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinAggregate:
     """One grid cell after median aggregation, before the link budget."""
 
@@ -50,7 +50,7 @@ class BinAggregate:
     sample_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridBin:
     """One grid cell with extracted path loss and link geometry."""
 

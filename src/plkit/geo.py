@@ -27,7 +27,7 @@ WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 _MAX_OFFSET_DEG = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeodeticPoint:
     """WGS84 position; altitude is meters above local ground level."""
 
@@ -42,7 +42,7 @@ class GeodeticPoint:
             raise ValueError(f"longitude {self.longitude!r} outside [-180, 180]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalPoint:
     """East/north/up offset in meters from a projection origin."""
 
@@ -55,7 +55,7 @@ class LocalPoint:
             raise ValueError("local coordinates must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridIndex:
     """Index of one square grid cell (ix eastward, iy northward)."""
 

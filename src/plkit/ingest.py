@@ -20,7 +20,7 @@ from .geo import GeodeticPoint
 SOURCES = ("TESTBED", "SCANNER")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementSample:
     """One timestamped, geolocated received-power observation."""
 
