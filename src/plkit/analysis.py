@@ -10,15 +10,17 @@ shadow-fading distribution checks, and outdoor-to-indoor CDFs.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from functools import partial
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from . import models
+from .columns import RowChecks, int_array, read_chunks
 from .antenna import AntennaPattern, gain_at
 from .geo import (
     GeodeticPoint,
@@ -35,7 +37,7 @@ from .geo import (
 
 # unused here, but perfbench/tracing.py wraps these names in this module
 from .geo import from_local, point_in_ring, to_local  # noqa: F401
-from .ingest import IndoorSession, MeasurementSample, SiteConfig
+from .ingest import IndoorSession, MeasurementSample, SampleTable, SiteConfig
 
 LOS_LABELS = ("LOS", "NLOS", "UNKNOWN")
 
@@ -74,44 +76,24 @@ class GridBin:
             raise ValueError(f"los must be one of {LOS_LABELS}")
 
 
-@dataclass(frozen=True)
-class SampleTable:
-    """Measurement samples as equal-length numpy columns, the input from
-    which :func:`aggregate_bins` builds a :class:`BinTable`."""
-
-    lat: np.ndarray
-    lon: np.ndarray
-    alt: np.ndarray  # receiver altitude above ground, m
-    rx_dbm: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[MeasurementSample]) -> "SampleTable":
-        samples = list(samples)
-        return cls(
-            np.array([s.position.latitude for s in samples], dtype=float),
-            np.array([s.position.longitude for s in samples], dtype=float),
-            np.array([s.position.altitude_agl for s in samples], dtype=float),
-            np.array([s.received_power_dbm for s in samples], dtype=float),
-        )
-
-    def __len__(self) -> int:
-        return self.rx_dbm.size
-
-
 _BIN_COLUMNS = ("ix", "iy", "east", "north", "up", "rx_dbm", "count",
-                "pl_db", "d2d_m", "d3d_m", "lat", "lon", "los")
+                "pl_db", "d2d_m", "d3d_m", "lat", "lon", "los", "band")
 
 
 @dataclass(frozen=True)
 class BinTable:
-    """Grid bins as equal-length numpy columns, plus band and grid metadata.
+    """Grid bins as equal-length numpy columns, plus the grid size.
 
     The ``bin`` command runs on one table: :func:`aggregate_bins` fills the
     cell index, the centroid (east/north/up in m on the tangent plane at
     the site), the median received power and the sample count;
-    :func:`extract_path_loss` the path loss, the 2D/3D distances and the
-    centroid's lat/lon (NaN until then); :func:`classify_los` the labels
-    ("UNKNOWN" until then).
+    :func:`extract_path_loss` the path loss, the 2D/3D distances, the
+    centroid's lat/lon (NaN until then) and the band; :func:`classify_los`
+    the labels ("UNKNOWN" until then). :func:`read_bins_csv` fills the
+    columns a bin-table file holds and leaves the centroid and median power
+    NaN (and lat/lon where the file has no position). ``band`` is a column
+    of per-bin labels, so a file whose rows name different bands reads
+    back row for row. Iterating yields :class:`GridBin` records.
     """
 
     ix: np.ndarray
@@ -127,8 +109,8 @@ class BinTable:
     lat: np.ndarray
     lon: np.ndarray
     los: np.ndarray
+    band: np.ndarray
     grid_size: float = 5.0
-    band: str = ""
 
     @classmethod
     def aggregated(cls, ix, iy, east, north, up, rx_dbm, count, grid_size) -> "BinTable":
@@ -138,10 +120,22 @@ class BinTable:
         n = ints[0].size
         return cls(*ints, *floats, np.asarray(count, dtype=np.int64),
                    *(np.full(n, np.nan) for _ in range(5)), np.full(n, "UNKNOWN"),
-                   grid_size=grid_size)
+                   np.full(n, ""), grid_size=grid_size)
 
     def __len__(self) -> int:
         return self.ix.size
+
+    def __iter__(self) -> Iterator[GridBin]:
+        for i, j, e, n, u, rx, c, pl, d2, d3, la, lo, los, band in zip(
+            *self.columns(*_BIN_COLUMNS)
+        ):
+            yield GridBin(
+                GridIndex(i, j, self.grid_size), pl, d3, d2, c,
+                centroid=None if math.isnan(e) else LocalPoint(e, n, u),
+                median_rx_power_dbm=None if math.isnan(rx) else rx,
+                los=los, band=band,
+                position=None if math.isnan(la) else GeodeticPoint(la, lo),
+            )
 
     def take(self, rows) -> "BinTable":
         """The bins selected by a boolean mask or an index array."""
@@ -317,7 +311,8 @@ def _link_budget(table: BinTable, site: SiteConfig, pattern: AntennaPattern, ban
     if not np.all(pl > 0):
         raise ValueError(f"path loss must be positive, got {pl[~(pl > 0)][0]}")
     lat, lon = unproject(site.site_position, table.east, table.north)
-    return replace(table, pl_db=pl, d2d_m=d2d, d3d_m=hypot(d2d, dz), lat=lat, lon=lon, band=band)
+    return replace(table, pl_db=pl, d2d_m=d2d, d3d_m=hypot(d2d, dz), lat=lat, lon=lon,
+                   band=np.full(len(table), band))
 
 
 def extract_path_loss(
@@ -367,16 +362,34 @@ def extract_path_loss(
     ]
 
 
+Bins = Union[BinTable, Sequence[GridBin]]
+
+# the GridBin attribute behind each column that the consumers read
+_RECORD_FIELDS = {
+    "ix": "index.ix", "iy": "index.iy", "east": "centroid.east", "north": "centroid.north",
+    "pl_db": "path_loss_db", "d2d_m": "distance_2d_m", "d3d_m": "distance_3d_m",
+}
+
+
+def _bin_columns(bins: Bins, *names: str) -> list[np.ndarray]:
+    """The named columns of a BinTable, or of GridBin records (read once,
+    so that every consumer runs one array code path)."""
+    if isinstance(bins, BinTable):
+        return [getattr(bins, name) for name in names]
+    bins = list(bins)
+    return [
+        (int_array if name in ("ix", "iy") else partial(np.array, dtype=float))(
+            list(map(attrgetter(_RECORD_FIELDS[name]), bins)))
+        for name in names
+    ]
+
+
 def _inside_any(bins, polygons: Sequence[Polygon], origin: GeodeticPoint, purpose: str) -> np.ndarray:
     """Whether each bin's centroid lies in any of the polygons, projected
     onto the tangent plane at ``origin``."""
-    if isinstance(bins, BinTable):
-        east, north = bins.east, bins.north
-    else:
-        if any(b.centroid is None for b in bins):
-            raise ValueError(f"bins must carry centroids for {purpose}")
-        east = np.array([b.centroid.east for b in bins], dtype=float)
-        north = np.array([b.centroid.north for b in bins], dtype=float)
+    if not isinstance(bins, BinTable) and any(b.centroid is None for b in bins):
+        raise ValueError(f"bins must carry centroids for {purpose}")
+    east, north = _bin_columns(bins, "east", "north")
     inside = np.zeros(east.size, dtype=bool)
     for poly in polygons:
         inside |= points_in_ring(east, north, project_polygon(origin, poly))
@@ -409,12 +422,8 @@ def apply_exclusion_mask(
     return [b for b, m in zip(bins, masked.tolist()) if not m]
 
 
-def _bin_distances(bins: Sequence[GridBin], use_2d: bool) -> np.ndarray:
-    return np.array([b.distance_2d_m if use_2d else b.distance_3d_m for b in bins])
-
-
 def fit_log_distance(
-    bins: Sequence[GridBin],
+    bins: Bins,
     d0_m: float = 100.0,
     min_d_m: Optional[float] = None,
     max_d_m: Optional[float] = None,
@@ -427,13 +436,14 @@ def fit_log_distance(
     pin_a0_db fixes the intercept. sigma is the (n-1) standard deviation
     of the residuals. Bins closer than min_d (default d0, where the
     log-distance form does not apply) or farther than max_d are ignored.
+    Like the other consumers of bin tables, it takes a BinTable or GridBin
+    records (whose fields it reads into arrays once).
     """
     if d0_m <= 0:
         raise ValueError("d0_m must be > 0")
     lo = d0_m if min_d_m is None else min_d_m
     hi = math.inf if max_d_m is None else max_d_m
-    d_all = _bin_distances(bins, use_2d)
-    pl_all = np.array([b.path_loss_db for b in bins])
+    d_all, pl_all = _bin_columns(bins, "d2d_m" if use_2d else "d3d_m", "pl_db")
     keep = (d_all >= lo) & (d_all <= hi)
     d, pl = d_all[keep], pl_all[keep]
     if d.size < 2:
@@ -464,22 +474,20 @@ def fit_log_distance(
     )
 
 
-def prediction_errors(
-    bins: Sequence[GridBin], model_id: str, template: models.LinkGeometry
-) -> ErrorStats:
+def prediction_errors(bins: Bins, model_id: str, template: models.LinkGeometry) -> ErrorStats:
     """Error statistics of one model against binned measurements.
 
     e_i = model(d_i) - PL_i, so a positive mean is over-prediction. All
     statistics are computed in the dB domain; sigma_e uses the (n-1)
     sample deviation and rmse is sqrt(mean(e^2)).
     """
-    if not bins:
+    d2d, d3d, pl = _bin_columns(bins, "d2d_m", "d3d_m", "pl_db")
+    if not pl.size:
         raise ValueError("no bins to compare against")
     info = models.get_model(model_id)
     if info.evaluate is None:
         raise ValueError(f"{info.model_id} has free parameters; fit it instead")
-    g = template.with_distances(_bin_distances(bins, True), _bin_distances(bins, False))
-    errors = info.evaluate(g) - np.array([b.path_loss_db for b in bins])
+    errors = info.evaluate(template.with_distances(d2d, d3d)) - pl
     n = errors.size
     mu = float(errors.mean())
     sigma = float(np.std(errors, ddof=1)) if n > 1 else 0.0
@@ -487,46 +495,61 @@ def prediction_errors(
     return ErrorStats(mu_e=mu, sigma_e=sigma, rmse=rmse, n=n)
 
 
-def pair_bins_by_index(
-    bins_high: Sequence[GridBin], bins_low: Sequence[GridBin]
-) -> list[tuple[float, float]]:
-    """Per-grid-cell (PL_high, PL_low) pairs for two bands.
+def _path_loss_by_cell(bins: Bins) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells in (ix, iy) order with their mean path loss; a cell's rows are
+    summed in table order with Python's ``sum``, as a per-cell list was."""
+    ix, iy, pl = _bin_columns(bins, "ix", "iy", "pl_db")
+    order = np.lexsort((iy, ix))
+    ix, iy, pl = ix[order], iy[order], pl[order]
+    first = np.ones(ix.size, dtype=bool)
+    first[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, ix.size))
+    means = pl[starts]
+    for g in np.flatnonzero(counts > 1).tolist():
+        means[g] = sum(pl[starts[g]:starts[g] + counts[g]].tolist()) / int(counts[g])
+    return ix[starts], iy[starts], means
+
+
+def pair_bins_by_index(bins_high: Bins, bins_low: Bins):
+    """Per-grid-cell (PL_high, PL_low) pairs for two bands, in (ix, iy)
+    order: an (n, 2) array for two BinTables, else a list of tuples.
 
     Only cells present in both tables are used; duplicate cells within one
     table are averaged first.
     """
+    hx, hy, hpl = _path_loss_by_cell(bins_high)
+    lx, ly, lpl = _path_loss_by_cell(bins_low)
+    # each side's cells are unique, so a shared cell is two adjacent rows
+    # of the merged, sorted keys: the high band's first
+    ix, iy = np.concatenate([hx, lx]), np.concatenate([hy, ly])
+    order = np.lexsort((np.arange(ix.size), iy, ix))
+    ix, iy = ix[order], iy[order]
+    k = np.flatnonzero((ix[1:] == ix[:-1]) & (iy[1:] == iy[:-1]))
+    pairs = np.column_stack([hpl[order[k]], lpl[order[k + 1] - hx.size]])
+    if isinstance(bins_high, BinTable) and isinstance(bins_low, BinTable):
+        return pairs
+    return list(map(tuple, pairs.tolist()))
 
-    def _by_key(bins):
-        acc: dict[tuple[int, int], list[float]] = {}
-        for b in bins:
-            acc.setdefault(b.index.key, []).append(b.path_loss_db)
-        return {k: sum(v) / len(v) for k, v in acc.items()}
 
-    high = _by_key(bins_high)
-    low = _by_key(bins_low)
-    common = sorted(set(high) & set(low))
-    return [(high[k], low[k]) for k in common]
-
-
-def frequency_offset(pairs: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Mean and sample sigma of per-cell path-loss differences.
+def frequency_offset(pairs) -> tuple[float, float]:
+    """Mean and sample sigma of per-cell path-loss differences, from an
+    (n, 2) array or a sequence of (PL_high, PL_low) pairs.
 
     The slope between the bands is fixed at one; only the offset is
     estimated.
     """
     if len(pairs) < 2:
         raise ValueError(f"need at least 2 paired bins, have {len(pairs)}")
-    diffs = np.array([hi - lo for hi, lo in pairs])
+    pairs = np.asarray(pairs, dtype=float)
+    diffs = pairs[:, 0] - pairs[:, 1]
     return float(diffs.mean()), float(np.std(diffs, ddof=1))
 
 
-def shadow_fading(
-    bins: Sequence[GridBin], fit: FitResult, use_2d: bool = False
-) -> ShadowFading:
+def shadow_fading(bins: Bins, fit: FitResult, use_2d: bool = False) -> ShadowFading:
     """Residuals around a fitted log-distance line, with Gaussian moments
     and a 1 dB histogram (pass the same bins the fit was made from)."""
-    d = _bin_distances(bins, use_2d)
-    pl = np.array([b.path_loss_db for b in bins])
+    d, pl = _bin_columns(bins, "d2d_m" if use_2d else "d3d_m", "pl_db")
     residuals = pl - (fit.a0_db + 10.0 * fit.gamma * np.log10(d / fit.d0_m))
     mean = float(residuals.mean())
     sigma = float(np.std(residuals, ddof=1)) if residuals.size > 1 else 0.0
@@ -554,20 +577,25 @@ def o2i_cdf(session: IndoorSession) -> CdfSeries:
 
 
 def distance_profile(
-    bins: Sequence[GridBin], step_m: float = 5.0, use_2d: bool = False
+    bins: Bins, step_m: float = 5.0, use_2d: bool = False
 ) -> list[tuple[float, float]]:
     """Median path loss per distance ring of width step_m, sorted by
     distance; returns (ring center, median PL) points."""
     if step_m <= 0:
         raise ValueError("step_m must be > 0")
-    groups: dict[int, list[float]] = {}
-    for b in bins:
-        d = b.distance_2d_m if use_2d else b.distance_3d_m
-        groups.setdefault(math.floor(d / step_m), []).append(b.path_loss_db)
-    return [
-        ((g + 0.5) * step_m, float(np.median(values)))
-        for g, values in sorted(groups.items())
-    ]
+    d, pl = _bin_columns(bins, "d2d_m" if use_2d else "d3d_m", "pl_db")
+    if not np.isfinite(d).all():
+        raise ValueError("distances must be finite")
+    ring = np.floor(d / step_m)
+    order = np.lexsort((pl, ring))
+    ring, pl = ring[order], pl[order]
+    first = np.ones(ring.size, dtype=bool)
+    first[1:] = ring[1:] != ring[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, ring.size))
+    mid = starts + counts // 2
+    median = np.where(counts % 2 == 1, pl[mid], (pl[mid - 1] + pl[mid]) / 2.0)
+    return [((g + 0.5) * step_m, m) for g, m in zip(ring[starts].tolist(), median.tolist())]
 
 
 DEFAULT_SYNTH_ORIGIN = GeodeticPoint(47.0, 8.0)
@@ -685,10 +713,9 @@ def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
     if isinstance(bins, BinTable):
         if np.isnan(bins.pl_db).any():
             raise ValueError("bin table has no path loss yet; run extract_path_loss first")
-        ix, iy, lat, lon, d2d, d3d, pl, count, los = bins.columns(
-            "ix", "iy", "lat", "lon", "d2d_m", "d3d_m", "pl_db", "count", "los")
-        rows = zip(ix, iy, *(map(repr, c) for c in (lat, lon, d2d, d3d, pl)),
-                   count, los, itertools.repeat(bins.band))
+        ix, iy, lat, lon, d2d, d3d, pl, count, los, band = bins.columns(
+            "ix", "iy", "lat", "lon", "d2d_m", "d3d_m", "pl_db", "count", "los", "band")
+        rows = zip(ix, iy, *(map(repr, c) for c in (lat, lon, d2d, d3d, pl)), count, los, band)
     else:
         rows = (
             [
@@ -706,8 +733,43 @@ def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
         writer.writerows(rows)
 
 
-def read_bins_csv(path, grid_size: float = 5.0) -> list[GridBin]:
-    """Read a bin table back (centroids are not part of the table).
+def _read_bin_rows(cells: list[str], checks: RowChecks, grid_size: float) -> list:
+    """The columns of one chunk of bin-table rows, checked in the order a
+    GridBin built from each row checks them."""
+    width = len(BIN_FIELDS)
+    ix_s, iy_s, lat_s, lon_s, d2d_s, d3d_s, pl_s, count_s, los, band = (
+        cells[j::width] for j in range(width))
+    has_pos = np.flatnonzero(np.fromiter(map(bool, lat_s), bool, len(lat_s)))
+    pick = has_pos.tolist()
+    lat, lon = (checks.parse(float, [c[k] for k in pick], has_pos) for c in (lat_s, lon_s))
+    lat_a, lon_a = np.array(lat, dtype=float), np.array(lon, dtype=float)
+    checks.check(~((lat_a >= -90.0) & (lat_a <= 90.0)),
+                 lambda k: f"latitude {lat[k]!r} outside [-90, 90]", has_pos)
+    checks.check(~((lon_a >= -180.0) & (lon_a <= 180.0)),
+                 lambda k: f"longitude {lon[k]!r} outside [-180, 180]", has_pos)
+    d2d, d3d, pl = (np.array(checks.parse(float, c), dtype=float) for c in (d2d_s, d3d_s, pl_s))
+    checks.check(
+        ~(np.isfinite(pl) & (0.0 < d2d) & (d2d <= d3d) & (d3d < math.inf)),
+        lambda k: ("need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
+                   f"got pl_db={pl_s[k]}, d2d_m={d2d_s[k]}, d3d_m={d3d_s[k]}"))
+    ix, iy = (int_array(checks.parse(int, c)) for c in (ix_s, iy_s))
+    if grid_size <= 0:  # what GridIndex checks
+        checks.fail(0, "grid_size must be > 0")
+    count = int_array(checks.parse(int, count_s))
+    checks.check(~(pl > 0), lambda k: f"path loss must be positive, got {pl[k].item()}")
+    checks.check(~(count >= 1), lambda k: "sample_count must be >= 1")
+    los = np.array(los, dtype=str)
+    checks.check(~np.isin(los, LOS_LABELS), lambda k: f"los must be one of {LOS_LABELS}")
+    full_lat, full_lon = np.full(len(ix), np.nan), np.full(len(ix), np.nan)
+    full_lat[has_pos], full_lon[has_pos] = lat_a, lon_a
+    nan = np.full(len(ix), np.nan)
+    return [ix, iy, nan, nan, nan, nan, count, pl, d2d, d3d, full_lat, full_lon, los,
+            np.array(band, dtype=str)]
+
+
+def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:
+    """Read a bin table back as a BinTable (the file holds no centroids or
+    median powers; those columns are NaN).
 
     Rejects, with the line number, rows whose path loss is not finite or
     whose distances are not finite with 0 < d2d_m <= d3d_m.
@@ -717,30 +779,10 @@ def read_bins_csv(path, grid_size: float = 5.0) -> list[GridBin]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != BIN_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(BIN_FIELDS)}")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(BIN_FIELDS):
-                raise ValueError(f"{path}: line {lineno}: wrong field count")
-            try:
-                position = GeodeticPoint(float(row[2]), float(row[3])) if row[2] else None
-                d2d, d3d, pl = float(row[4]), float(row[5]), float(row[6])
-                if not (math.isfinite(pl) and 0.0 < d2d <= d3d < math.inf):
-                    raise ValueError("need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
-                                     f"got pl_db={row[6]}, d2d_m={row[4]}, d3d_m={row[5]}")
-                out.append(
-                    GridBin(
-                        index=GridIndex(int(row[0]), int(row[1]), grid_size),
-                        path_loss_db=pl,
-                        distance_3d_m=d3d,
-                        distance_2d_m=d2d,
-                        sample_count=int(row[7]),
-                        los=row[8],
-                        band=row[9],
-                        position=position,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return out
+        chunks = []
+        for cells, checks in read_chunks(reader, len(BIN_FIELDS), lambda row: "wrong field count"):
+            chunks.append(_read_bin_rows(cells, checks, grid_size))
+            checks.raise_first(f"{path}: ")
+    if not chunks:
+        chunks = [_read_bin_rows([], RowChecks([]), grid_size)]
+    return BinTable(*(np.concatenate(c) for c in zip(*chunks)), grid_size=grid_size)

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .columns import read_chunks
+
 
 @dataclass
 class AntennaPattern:
@@ -235,32 +237,33 @@ def save_pattern_csv(pattern: AntennaPattern, path) -> None:
 def load_pattern_csv(
     path, boresight_azimuth: float = 0.0, mechanical_tilt: float = 0.0
 ) -> AntennaPattern:
-    """Read a pattern CSV (header azimuth_deg,elevation_deg,gain_dbi)."""
+    """Read a pattern CSV (header azimuth_deg,elevation_deg,gain_dbi), one
+    row per grid node; a node given twice is rejected with its line."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != PATTERN_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(PATTERN_FIELDS)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
+        columns, lines = [], []
+        for cells, checks in read_chunks(reader, 3, lambda row: "expected 3 fields"):
+            columns.append([checks.parse(float, cells[j::3]) for j in range(3)])
+            checks.raise_first(f"{path}: ")
+            lines.extend(checks.lines)
+    if not lines:
         raise ValueError(f"{path}: empty pattern file")
-    az = np.unique([r[0] for r in rows])
-    el = np.unique([r[1] for r in rows])
+    azimuth, elevation, gain_dbi = (np.concatenate(c) for c in zip(*columns))
+    az, ai = np.unique(azimuth, return_inverse=True)
+    el, ei = np.unique(elevation, return_inverse=True)
+    node = ai * el.size + ei
+    order = np.argsort(node, kind="stable")
+    repeats = order[1:][node[order][1:] == node[order][:-1]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise ValueError(f"{path}: line {lines[k]}: duplicate node "
+                         f"(azimuth {azimuth[k].item()!r}, elevation {elevation[k].item()!r})")
     gain = np.full((az.size, el.size), np.nan)
-    ai = {v: i for i, v in enumerate(az)}
-    ei = {v: i for i, v in enumerate(el)}
-    for a, e, g in rows:
-        gain[ai[a], ei[e]] = g
+    gain[ai, ei] = gain_dbi
     if np.isnan(gain).any():
         raise ValueError(f"{path}: pattern grid is incomplete")
     return AntennaPattern(

@@ -60,7 +60,7 @@ def _geometry_from_args(args, bins=None) -> models.LinkGeometry:
     freq = freq if freq is not None else 3.55
     h_bs = h_bs if h_bs is not None else 25.0
     h_ut = h_ut if h_ut is not None else 1.5
-    d_ref = bins[0].distance_2d_m if bins else 1000.0
+    d_ref = bins.d2d_m[0].item() if bins is not None and len(bins) else 1000.0
     return models.LinkGeometry.at(
         d_ref, freq, h_bs, h_ut,
         avg_building_height_m=args.avg_building_height if args.avg_building_height is not None else 5.0,
@@ -168,7 +168,7 @@ def cmd_bin(args) -> int:
     )
     grid_size = float(_opt(args, "grid_size", 5.0))
 
-    samples = []
+    tables = []
     totals = {"rows": 0, "skipped": 0, "filtered": 0}
     for log_path in args.logs:
         if args.source == "testbed":
@@ -178,17 +178,17 @@ def cmd_bin(args) -> int:
                 raise ValueError("--cells is required for scanner logs")
             cells = [int(c) for c in args.cells.split(",") if c.strip()]
             result = ingest.parse_scanner_log(log_path, cells, band=args.band or "800MHz")
-        samples.extend(result.samples)
+        tables.append(result.table)
         totals["rows"] += result.rows
         totals["skipped"] += result.skipped
         totals["filtered"] += result.filtered
-    if not samples:
+    samples = ingest.SampleTable.concat(tables)
+    if not len(samples):
         raise ValueError("no samples")
 
-    band = samples[0].band
     origin = site.site_position
-    bins = analysis.aggregate_bins(analysis.SampleTable.from_samples(samples), origin, grid_size)
-    bins = analysis.extract_path_loss(bins, site, pattern, band=band)
+    bins = analysis.aggregate_bins(samples, origin, grid_size)
+    bins = analysis.extract_path_loss(bins, site, pattern, band=samples.band[0].item())
 
     polygons_path = _opt(args, "polygons")
     if polygons_path:
@@ -211,20 +211,18 @@ def cmd_bin(args) -> int:
     return 0
 
 
-def _filter_split(bins, split):
+def _filter_split(bins: analysis.BinTable, split: str) -> analysis.BinTable:
     if split == "all":
         return bins
-    labeled = [b for b in bins if b.los != "UNKNOWN"]
-    if not labeled:
+    if not (bins.los != "UNKNOWN").any():
         raise ValueError("no LOS labels in bin table; run bin with --polygons first")
-    want = split.upper()
-    return [b for b in labeled if b.los == want]
+    return bins.take(bins.los == split.upper())
 
 
 def cmd_fit(args) -> int:
     bins = analysis.read_bins_csv(args.bins, grid_size=float(_opt(args, "grid_size", 5.0)))
     bins = _filter_split(bins, args.split)
-    if not bins:
+    if not len(bins):
         raise ValueError(f"no bins with label {args.split!r}")
     d0 = float(_opt(args, "d0", 100.0))
     min_d = _opt(args, "min_d")
@@ -249,7 +247,7 @@ def cmd_fit(args) -> int:
 
 def cmd_compare(args) -> int:
     bins = analysis.read_bins_csv(args.bins, grid_size=float(_opt(args, "grid_size", 5.0)))
-    if not bins:
+    if not len(bins):
         raise ValueError("empty bin table")
     model_ids = _opt(args, "models")
     if isinstance(model_ids, str):
@@ -272,9 +270,16 @@ def cmd_compare(args) -> int:
             file=sys.stderr,
         )
 
-    links = template.with_distances(
-        np.array([b.distance_2d_m for b in bins]), np.array([b.distance_3d_m for b in bins])
-    )
+    links = template.with_distances(bins.d2d_m, bins.d3d_m)
+    mismatched = int(np.count_nonzero(
+        np.abs(bins.d3d_m - np.hypot(bins.d2d_m, template.h_bs_m - template.h_ut_m)) > 0.01))
+    if mismatched:
+        print(
+            f"warning: {mismatched} of {len(bins)} bins have d3d_m != hypot(d2d_m, h_bs - h_ut) "
+            f"by more than 0.01 m with h_bs {template.h_bs_m:g} m, h_ut {template.h_ut_m:g} m; "
+            "the table may come from other antenna heights",
+            file=sys.stderr,
+        )
     stats = []
     for mid in model_ids:
         es = analysis.prediction_errors(bins, mid, template)
@@ -311,7 +316,7 @@ def cmd_offset(args) -> int:
     bins_high = analysis.read_bins_csv(args.bins_high, grid_size=grid_size)
     bins_low = analysis.read_bins_csv(args.bins_low, grid_size=grid_size)
     pairs = analysis.pair_bins_by_index(bins_high, bins_low)
-    if not pairs:
+    if not len(pairs):
         raise ValueError("the two bin tables share no grid cells")
     offset, sigma = analysis.frequency_offset(pairs)
     doc = {"offset_db": offset, "sigma_db": sigma, "n_pairs": len(pairs)}

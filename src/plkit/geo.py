@@ -282,8 +282,8 @@ def point_in_polygon(p: GeodeticPoint, poly: Polygon) -> bool:
 def load_polygons(path) -> list[Polygon]:
     """Read LOS/NLOS polygons from a GeoJSON FeatureCollection.
 
-    Each feature must be a Polygon with one (outer) ring; holes are
-    rejected rather than ignored. The boolean feature property ``los``
+    Each feature must be a Polygon with one (outer) ring; holes and
+    MultiPolygons are rejected rather than ignored. The boolean feature property ``los``
     selects the label (missing defaults to LOS).
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -292,6 +292,9 @@ def load_polygons(path) -> list[Polygon]:
     polygons = []
     for i, feature in enumerate(data.get("features", [])):
         geom = feature.get("geometry") or {}
+        if geom.get("type") == "MultiPolygon":
+            raise ValueError(f"feature {i}: MultiPolygon is not supported; "
+                             "split it into Polygon features")
         if geom.get("type") != "Polygon":
             raise ValueError(f"feature {i}: geometry type must be Polygon")
         rings = geom.get("coordinates") or []

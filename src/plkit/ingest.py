@@ -11,10 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
+from .columns import RowChecks, int_array, read_chunks
 from .geo import GeodeticPoint
 
 SOURCES = ("TESTBED", "SCANNER")
@@ -43,20 +46,144 @@ class MeasurementSample:
             raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
 
 
+@dataclass(frozen=True)
+class SampleTable:
+    """Measurement samples as equal-length numpy columns, one per
+    :class:`MeasurementSample` field (the position as lat/lon/alt).
+
+    ``beam_id`` and ``cell_id`` are int columns, or object columns holding
+    None for samples without one. The parsers fill a table without building
+    a record per row; iterating yields the records.
+    """
+
+    timestamp_ms: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    alt: np.ndarray  # receiver altitude above ground, m
+    rx_dbm: np.ndarray
+    band: np.ndarray
+    source: np.ndarray
+    beam_id: np.ndarray
+    cell_id: np.ndarray
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[MeasurementSample]) -> "SampleTable":
+        rows = [
+            (s.timestamp_ms, s.position.latitude, s.position.longitude,
+             s.position.altitude_agl, s.received_power_dbm, s.band, s.source,
+             s.beam_id, s.cell_id)
+            for s in samples
+        ]
+        ts, lat, lon, alt, rx, band, source, beam, cell = zip(*rows) if rows else [()] * 9
+        return cls(int_array(ts), *(np.array(c, dtype=float) for c in (lat, lon, alt, rx)),
+                   np.array(band, dtype=str), np.array(source, dtype=str),
+                   np.array(beam, dtype=object), np.array(cell, dtype=object))
+
+    @classmethod
+    def concat(cls, tables: Sequence["SampleTable"]) -> "SampleTable":
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables])
+                     for f in fields(cls)))
+
+    def __len__(self) -> int:
+        return self.rx_dbm.size
+
+    def __iter__(self) -> Iterator[MeasurementSample]:
+        for ts, lat, lon, alt, rx, band, source, beam, cell in zip(
+            *(getattr(self, f.name).tolist() for f in fields(self))
+        ):
+            yield MeasurementSample(ts, GeodeticPoint(lat, lon, alt), rx, band, source, beam, cell)
+
+
 @dataclass
 class ParseResult:
-    """Samples plus row accounting: rows == samples + skipped + filtered."""
+    """A parsed log plus row accounting: rows == samples + skipped + filtered."""
 
-    samples: list[MeasurementSample]
+    table: SampleTable
     rows: int = 0
     skipped: int = 0
     filtered: int = 0
+
+    @property
+    def samples(self) -> list[MeasurementSample]:
+        """The table as MeasurementSample records, built on each access."""
+        return list(self.table)
 
 
 def _open_stream(stream_or_path) -> tuple[IO, bool]:
     if hasattr(stream_or_path, "read"):
         return stream_or_path, False
     return open(stream_or_path, newline="", encoding="utf-8"), True
+
+
+def _check_samples(checks: RowChecks, rows, ts, lat, lon, power=None) -> None:
+    """What a MeasurementSample and its GeodeticPoint check, in their order,
+    over the given rows; without ``power`` it is left to a later check."""
+    lat_a, lon_a = np.array(lat), np.array(lon)
+    checks.check(~((lat_a >= -90.0) & (lat_a <= 90.0)),
+                 lambda k: f"latitude {lat[k]!r} outside [-90, 90]", rows)
+    checks.check(~((lon_a >= -180.0) & (lon_a <= 180.0)),
+                 lambda k: f"longitude {lon[k]!r} outside [-180, 180]", rows)
+    if power is not None:
+        _check_power(checks, rows, ts, power)
+
+
+def _check_power(checks: RowChecks, rows, ts, power) -> None:
+    checks.check(~(int_array(ts) > 0),
+                 lambda k: f"timestamp_ms must be positive, got {ts[k]}", rows)
+    p = np.array(power, dtype=float)
+    checks.check(~((p >= -160.0) & (p <= 0.0)),
+                 lambda k: f"received power {power[k]} dBm outside [-160, 0]", rows)
+
+
+def _sample_table(ts, lat, lon, rx, band: str, source: str, beam, cell) -> SampleTable:
+    n = len(rx)
+    return SampleTable(int_array(ts), np.array(lat, dtype=float), np.array(lon, dtype=float),
+                       np.zeros(n), np.array(rx, dtype=float), np.full(n, band),
+                       np.full(n, source), beam, cell)
+
+
+def _strongest_beams(cells: list[str], width: int, checks: RowChecks):
+    """Per row of a testbed chunk: whether any beam was received, the
+    strongest power and the column of its beam (0 = first beam column).
+
+    As the per-row rule reads: cells are stripped and empty ones skipped;
+    the running maximum starts at the first received cell and takes a cell
+    only if strictly greater, so ties go to the first column and a NaN
+    in the first received cell is the result.
+    """
+    n = len(cells) // width
+    filled = np.frombuffer(bytes(map(bool, cells)), dtype=bool).reshape(n, width)[:, 3:]
+    r, c = np.nonzero(filled)
+    texts = [cells[k] for k in (r * width + 3 + c).tolist()]
+    try:
+        values = list(map(float, texts))
+    except ValueError:  # whitespace-only cells are empty; or a bad cell
+        values = []
+        for k, text in enumerate(texts):
+            text = text.strip()
+            try:
+                values.append(float(text) if text else None)
+            except ValueError as exc:
+                checks.fail(int(r[k]), str(exc))
+                values.extend([0.0] * (len(texts) - k))
+                break
+        heard = np.array([v is not None for v in values], dtype=bool)
+        r, c = r[heard], c[heard]
+        values = [v for v in values if v is not None]
+    power = np.full(filled.shape, -np.inf)
+    power[r, c] = values
+    received = np.zeros(filled.shape, dtype=bool)
+    received[r, c] = True
+    nan = np.isnan(power)
+    power[nan] = -np.inf
+    best = power.max(axis=1)
+    column = (received & ~nan & (power == best[:, None])).argmax(axis=1)
+    rows = np.arange(n)
+    first = received.argmax(axis=1)
+    nan_first = nan[rows, first]
+    best[nan_first] = np.nan
+    column[nan_first] = first[nan_first]
+    return received.any(axis=1), best, column
 
 
 def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
@@ -66,6 +193,7 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
     beam cell means the beam was not received. Each row becomes one sample
     whose power is the strongest beam (ties resolved to the lowest beam
     index); rows with no received beam at all are skipped and counted.
+    A bad row is reported with its line number.
     """
     fh, should_close = _open_stream(stream_or_path)
     try:
@@ -76,57 +204,45 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
         header = [h.strip() for h in header]
         if header[:3] != ["timestamp_ms", "lat", "lon"]:
             raise ValueError("testbed log must start with timestamp_ms,lat,lon")
-        beam_cols = []
-        for idx, name in enumerate(header[3:], start=3):
+        beams = []
+        for name in header[3:]:
             if not name.startswith("mrsrp_"):
                 raise ValueError(f"unexpected column {name!r} in testbed log")
             try:
-                beam_cols.append((idx, int(name[len("mrsrp_"):])))
+                beams.append(int(name[len("mrsrp_"):]))
             except ValueError:
                 raise ValueError(f"bad beam column name {name!r}") from None
-        if not beam_cols:
+        if not beams:
             raise ValueError("testbed log has no mrsrp_* columns")
+        beams = int_array(beams)
 
-        result = ParseResult(samples=[])
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            result.rows += 1
-            if len(row) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                ts = int(row[0])
-                lat = float(row[1])
-                lon = float(row[2])
-                best_power = None
-                best_beam = None
-                for idx, beam in beam_cols:
-                    cell = row[idx].strip()
-                    if not cell:
-                        continue
-                    power = float(cell)
-                    if best_power is None or power > best_power:
-                        best_power = power
-                        best_beam = beam
-                if best_power is None:
-                    result.skipped += 1
-                    continue
-                result.samples.append(
-                    MeasurementSample(
-                        timestamp_ms=ts,
-                        position=GeodeticPoint(lat, lon),
-                        received_power_dbm=best_power,
-                        band=band,
-                        source="TESTBED",
-                        beam_id=best_beam,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        return result
+        width = len(header)
+        tables, rows, skipped = [], 0, 0
+        for cells, checks in read_chunks(
+            reader, width, lambda row: f"expected {width} fields, got {len(row)}"
+        ):
+            ts = checks.parse(int, cells[0::width])
+            lat = checks.parse(float, cells[1::width])
+            lon = checks.parse(float, cells[2::width])
+            heard, power, column = _strongest_beams(cells, width, checks)
+            keep = np.flatnonzero(heard)
+            pick = keep.tolist()
+            ts, lat, lon = ([v[k] for k in pick] for v in (ts, lat, lon))
+            power = power[keep].tolist()
+            _check_samples(checks, keep, ts, lat, lon, power)
+            checks.raise_first()
+            rows += len(heard)
+            skipped += len(heard) - len(pick)
+            tables.append(_sample_table(ts, lat, lon, power, band, "TESTBED",
+                                        beams[column[keep]], np.full(len(pick), None)))
+        return ParseResult(_concat(tables), rows=rows, skipped=skipped)
     finally:
         if should_close:
             fh.close()
+
+
+def _concat(tables: list[SampleTable]) -> SampleTable:
+    return SampleTable.concat(tables) if tables else SampleTable.from_samples([])
 
 
 SCANNER_HEADER = ["timestamp_ms", "lat", "lon", "cell_id", "rsrp_dbm"]
@@ -136,8 +252,8 @@ def parse_scanner_log(
     stream_or_path, cells_of_interest: Iterable[int], band: str = "800MHz"
 ) -> ParseResult:
     """Parse a network-scanner log, keeping only the cells of interest."""
-    cells = set(int(c) for c in cells_of_interest)
-    if not cells:
+    wanted = set(int(c) for c in cells_of_interest)
+    if not wanted:
         warnings.warn("empty cells-of-interest set: every row will be filtered out")
     fh, should_close = _open_stream(stream_or_path)
     try:
@@ -145,31 +261,26 @@ def parse_scanner_log(
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != SCANNER_HEADER:
             raise ValueError(f"scanner log must have header {','.join(SCANNER_HEADER)}")
-        result = ParseResult(samples=[])
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            result.rows += 1
-            if len(row) != len(SCANNER_HEADER):
-                raise ValueError(f"line {lineno}: expected {len(SCANNER_HEADER)} fields")
-            try:
-                cell = int(row[3])
-                if cell not in cells:
-                    result.filtered += 1
-                    continue
-                result.samples.append(
-                    MeasurementSample(
-                        timestamp_ms=int(row[0]),
-                        position=GeodeticPoint(float(row[1]), float(row[2])),
-                        received_power_dbm=float(row[4]),
-                        band=band,
-                        source="SCANNER",
-                        cell_id=cell,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        if not result.samples:
+        width = len(SCANNER_HEADER)
+        tables, rows, filtered = [], 0, 0
+        for cells, checks in read_chunks(
+            reader, width, lambda row: f"expected {width} fields"
+        ):
+            cell = checks.parse(int, cells[3::width])
+            keep = np.flatnonzero(np.fromiter(map(wanted.__contains__, cell), bool, len(cell)))
+            pick = keep.tolist()
+            ts, lat, lon = (checks.parse(kind, [cells[k * width + j] for k in pick], keep)
+                            for j, kind in enumerate((int, float, float)))
+            _check_samples(checks, keep, ts, lat, lon)
+            power = checks.parse(float, [cells[k * width + 4] for k in pick], keep)
+            _check_power(checks, keep, ts, power)
+            checks.raise_first()
+            rows += len(cell)
+            filtered += len(cell) - len(pick)
+            tables.append(_sample_table(ts, lat, lon, power, band, "SCANNER",
+                                        np.full(len(pick), None), int_array([cell[k] for k in pick])))
+        result = ParseResult(_concat(tables), rows=rows, filtered=filtered)
+        if not len(result.table):
             warnings.warn("scanner log yielded no samples for the requested cells")
         return result
     finally:
