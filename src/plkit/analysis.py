@@ -13,7 +13,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -377,11 +376,9 @@ def _bin_columns(bins: Bins, *names: str) -> list[np.ndarray]:
     if isinstance(bins, BinTable):
         return [getattr(bins, name) for name in names]
     bins = list(bins)
-    return [
-        (int_array if name in ("ix", "iy") else partial(np.array, dtype=float))(
-            list(map(attrgetter(_RECORD_FIELDS[name]), bins)))
-        for name in names
-    ]
+    values = [list(map(attrgetter(_RECORD_FIELDS[name]), bins)) for name in names]
+    return [int_array(v) if name in ("ix", "iy") else np.array(v, dtype=float)
+            for name, v in zip(names, values)]
 
 
 def _inside_any(bins, polygons: Sequence[Polygon], origin: GeodeticPoint, purpose: str) -> np.ndarray:

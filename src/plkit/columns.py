@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-CHUNK_ROWS = 4096
+CHUNK_ROWS = 512
 
 
 class RowChecks:

@@ -283,8 +283,8 @@ def load_polygons(path) -> list[Polygon]:
     """Read LOS/NLOS polygons from a GeoJSON FeatureCollection.
 
     Each feature must be a Polygon with one (outer) ring; holes and
-    MultiPolygons are rejected rather than ignored. The boolean feature property ``los``
-    selects the label (missing defaults to LOS).
+    MultiPolygons are rejected rather than ignored. The boolean feature
+    property ``los`` selects the label (missing defaults to LOS).
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if data.get("type") != "FeatureCollection":

@@ -81,6 +81,8 @@ class SampleTable:
 
     @classmethod
     def concat(cls, tables: Sequence["SampleTable"]) -> "SampleTable":
+        if not tables:
+            return cls.from_samples([])
         return cls(*(np.concatenate([getattr(t, f.name) for t in tables])
                      for f in fields(cls)))
 
@@ -115,19 +117,18 @@ def _open_stream(stream_or_path) -> tuple[IO, bool]:
     return open(stream_or_path, newline="", encoding="utf-8"), True
 
 
-def _check_samples(checks: RowChecks, rows, ts, lat, lon, power=None) -> None:
-    """What a MeasurementSample and its GeodeticPoint check, in their order,
-    over the given rows; without ``power`` it is left to a later check."""
-    lat_a, lon_a = np.array(lat), np.array(lon)
+def _check_position(checks: RowChecks, rows, lat, lon) -> None:
+    """What a GeodeticPoint checks, over the given rows."""
+    lat_a, lon_a = np.array(lat, dtype=float), np.array(lon, dtype=float)
     checks.check(~((lat_a >= -90.0) & (lat_a <= 90.0)),
                  lambda k: f"latitude {lat[k]!r} outside [-90, 90]", rows)
     checks.check(~((lon_a >= -180.0) & (lon_a <= 180.0)),
                  lambda k: f"longitude {lon[k]!r} outside [-180, 180]", rows)
-    if power is not None:
-        _check_power(checks, rows, ts, power)
 
 
-def _check_power(checks: RowChecks, rows, ts, power) -> None:
+def _check_sample(checks: RowChecks, rows, ts, power) -> None:
+    """What a MeasurementSample checks, over the given rows (its source is
+    the parser's own)."""
     checks.check(~(int_array(ts) > 0),
                  lambda k: f"timestamp_ms must be positive, got {ts[k]}", rows)
     p = np.array(power, dtype=float)
@@ -229,20 +230,17 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
             pick = keep.tolist()
             ts, lat, lon = ([v[k] for k in pick] for v in (ts, lat, lon))
             power = power[keep].tolist()
-            _check_samples(checks, keep, ts, lat, lon, power)
+            _check_position(checks, keep, lat, lon)
+            _check_sample(checks, keep, ts, power)
             checks.raise_first()
             rows += len(heard)
             skipped += len(heard) - len(pick)
             tables.append(_sample_table(ts, lat, lon, power, band, "TESTBED",
                                         beams[column[keep]], np.full(len(pick), None)))
-        return ParseResult(_concat(tables), rows=rows, skipped=skipped)
+        return ParseResult(SampleTable.concat(tables), rows=rows, skipped=skipped)
     finally:
         if should_close:
             fh.close()
-
-
-def _concat(tables: list[SampleTable]) -> SampleTable:
-    return SampleTable.concat(tables) if tables else SampleTable.from_samples([])
 
 
 SCANNER_HEADER = ["timestamp_ms", "lat", "lon", "cell_id", "rsrp_dbm"]
@@ -271,15 +269,15 @@ def parse_scanner_log(
             pick = keep.tolist()
             ts, lat, lon = (checks.parse(kind, [cells[k * width + j] for k in pick], keep)
                             for j, kind in enumerate((int, float, float)))
-            _check_samples(checks, keep, ts, lat, lon)
+            _check_position(checks, keep, lat, lon)
             power = checks.parse(float, [cells[k * width + 4] for k in pick], keep)
-            _check_power(checks, keep, ts, power)
+            _check_sample(checks, keep, ts, power)
             checks.raise_first()
             rows += len(cell)
             filtered += len(cell) - len(pick)
             tables.append(_sample_table(ts, lat, lon, power, band, "SCANNER",
                                         np.full(len(pick), None), int_array([cell[k] for k in pick])))
-        result = ParseResult(_concat(tables), rows=rows, filtered=filtered)
+        result = ParseResult(SampleTable.concat(tables), rows=rows, filtered=filtered)
         if not len(result.table):
             warnings.warn("scanner log yielded no samples for the requested cells")
         return result
