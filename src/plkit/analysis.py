@@ -376,9 +376,11 @@ def _bin_columns(bins: Bins, *names: str) -> list[np.ndarray]:
     if isinstance(bins, BinTable):
         return [getattr(bins, name) for name in names]
     bins = list(bins)
-    values = [list(map(attrgetter(_RECORD_FIELDS[name]), bins)) for name in names]
-    return [int_array(v) if name in ("ix", "iy") else np.array(v, dtype=float)
-            for name, v in zip(names, values)]
+    return [
+        int_array(list(map(attrgetter(_RECORD_FIELDS[name]), bins))) if name in ("ix", "iy")
+        else np.fromiter(map(attrgetter(_RECORD_FIELDS[name]), bins), float, len(bins))
+        for name in names
+    ]
 
 
 def _inside_any(bins, polygons: Sequence[Polygon], origin: GeodeticPoint, purpose: str) -> np.ndarray:
