@@ -177,7 +177,7 @@ def padded(cells):
 
 
 @st.composite
-def dirty_rows(draw, rows, bad_cells, extra_lines=True):
+def dirty_rows(draw, rows, bad_cells):
     """The clean rows with up to three bad cells, blank lines and rows of
     the wrong width put in."""
     rows = [list(r) for r in rows]
@@ -187,10 +187,9 @@ def dirty_rows(draw, rows, bad_cells, extra_lines=True):
             j = draw(st.integers(0, len(bad_cells) - 1))
             rows[i][j] = draw(bad_cells[j])
     lines = [",".join(r) for r in rows]
-    if extra_lines:
-        for _ in range(draw(st.integers(0, 2))):
-            k = draw(st.integers(0, len(lines)))
-            lines.insert(k, draw(st.sampled_from(["", "", "", "1,2", ",".join(["1"] * 12)])))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines)))
+        lines.insert(k, draw(st.sampled_from(["", "", "", "1,2", ",".join(["1"] * 12)])))
     return lines
 
 
