@@ -155,33 +155,19 @@ def _strongest_beams(cells: list[str], width: int, checks: RowChecks):
     n = len(cells) // width
     filled = np.frombuffer(bytes(map(bool, cells)), dtype=bool).reshape(n, width)[:, 3:]
     r, c = np.nonzero(filled)
-    texts = [cells[k] for k in (r * width + 3 + c).tolist()]
-    try:
-        values = list(map(float, texts))
-    except ValueError:  # whitespace-only cells are empty; or a bad cell
-        values = []
-        for k, text in enumerate(texts):
-            text = text.strip()
-            try:
-                values.append(float(text) if text else None)
-            except ValueError as exc:
-                checks.fail(int(r[k]), str(exc))
-                values.extend([0.0] * (len(texts) - k))
-                break
-        heard = np.array([v is not None for v in values], dtype=bool)
-        r, c = r[heard], c[heard]
-        values = [v for v in values if v is not None]
+    texts = [cells[k].strip() for k in (r * width + 3 + c).tolist()]
+    heard = np.fromiter(map(bool, texts), bool, len(texts))  # whitespace-only is empty
+    r, c = r[heard], c[heard]
     power = np.full(filled.shape, -np.inf)
-    power[r, c] = values
+    power[r, c] = checks.parse(float, [t for t in texts if t], r)
     received = np.zeros(filled.shape, dtype=bool)
     received[r, c] = True
     nan = np.isnan(power)
     power[nan] = -np.inf
     best = power.max(axis=1)
-    column = (received & ~nan & (power == best[:, None])).argmax(axis=1)
-    rows = np.arange(n)
+    column = power.argmax(axis=1)  # first maximum; its beam matters only if finite
     first = received.argmax(axis=1)
-    nan_first = nan[rows, first]
+    nan_first = nan[np.arange(n), first]
     best[nan_first] = np.nan
     column[nan_first] = first[nan_first]
     return received.any(axis=1), best, column

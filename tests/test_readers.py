@@ -231,6 +231,9 @@ def bin_files():
 
 @SETTINGS
 @given(lines=bin_files(), grid_size=st.sampled_from([5.0, 5.0, 2.5, 0.0]), chunk=CHUNKS)
+@example(lines=["1,2,47.0,8.0,100.0,101.0,90.0,0,LOS,"], grid_size=5.0, chunk=2)
+@example(lines=["1,2,,x,100.0,101.0,-5,1,LOS,", "3,4,91,8,1,1,1,1,LOS,"], grid_size=5.0, chunk=2)
+@example(lines=["", "1,2,47.0,8.0,100.0,101.0,90.0,1,NLOS,"], grid_size=0.0, chunk=2)
 def test_read_bins_csv_matches_per_row_reader(tmp_path_factory, lines, grid_size, chunk):
     path = tmp_path_factory.mktemp("bins") / "bins.csv"
     path.write_text(",".join(BIN_FIELDS) + "\n" + "".join(f"{l}\n" for l in lines))
