@@ -13,13 +13,12 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from . import models
-from .columns import RowChecks, int_array, read_chunks
+from .columns import RowChecks, int_array, read_chunks, write_csv
 from .antenna import AntennaPattern, gain_at
 from .geo import (
     GeodeticPoint,
@@ -121,6 +120,36 @@ class BinTable:
                    *(np.full(n, np.nan) for _ in range(5)), np.full(n, "UNKNOWN"),
                    np.full(n, ""), grid_size=grid_size)
 
+    @classmethod
+    def from_records(cls, bins: Iterable[GridBin]) -> "BinTable":
+        """A table of GridBin records: NaN where a record has no centroid,
+        median power or position."""
+        bins = list(bins)
+        nan3 = (math.nan,) * 3
+        rows = [
+            (b.index.ix, b.index.iy,
+             *((b.centroid.east, b.centroid.north, b.centroid.up) if b.centroid else nan3),
+             math.nan if b.median_rx_power_dbm is None else b.median_rx_power_dbm,
+             b.sample_count, b.path_loss_db, b.distance_2d_m, b.distance_3d_m,
+             *((b.position.latitude, b.position.longitude) if b.position else nan3[:2]),
+             b.los, b.band)
+            for b in bins
+        ]
+        ix, iy, e, n, u, rx, c, pl, d2, d3, la, lo, los, band = zip(*rows) if rows else [()] * 14
+        return cls(int_array(ix), int_array(iy),
+                   *(np.array(v, dtype=float) for v in (e, n, u, rx)), int_array(c),
+                   *(np.array(v, dtype=float) for v in (pl, d2, d3, la, lo)),
+                   np.array(los, dtype=str), np.array(band, dtype=str),
+                   grid_size=bins[0].index.grid_size if bins else 5.0)
+
+    def __eq__(self, other) -> bool:
+        """Column by column, NaN equal to NaN, and the same grid size."""
+        if not isinstance(other, BinTable):
+            return NotImplemented
+        return self.grid_size == other.grid_size and all(
+            np.array_equal(a, b, equal_nan=a.dtype.kind == "f" and b.dtype.kind == "f")
+            for a, b in ((getattr(self, c), getattr(other, c)) for c in _BIN_COLUMNS))
+
     def __len__(self) -> int:
         return self.ix.size
 
@@ -193,27 +222,30 @@ def rmse_identity(mu_e: float, sigma_e: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class CdfSeries:
-    """Empirical CDF: sorted values with probabilities ending at 1."""
+    """Empirical CDF: sorted values with probabilities ending at 1, as
+    float arrays."""
 
-    values: tuple[float, ...]
-    probabilities: tuple[float, ...]
+    values: np.ndarray
+    probabilities: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "probabilities", tuple(self.probabilities))
-        if len(self.values) != len(self.probabilities):
+        values = np.asarray(self.values, dtype=float)
+        probabilities = np.asarray(self.probabilities, dtype=float)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probabilities", probabilities)
+        if values.shape != probabilities.shape:
             raise ValueError("values and probabilities must have equal length")
-        if not self.values:
+        if not values.size:
             raise ValueError("empty CDF")
-        if any(b < a for a, b in zip(self.values, self.values[1:])):
+        if (np.diff(values) < 0).any():
             raise ValueError("values must be sorted non-decreasing")
-        if any(b < a for a, b in zip(self.probabilities, self.probabilities[1:])):
+        if (np.diff(probabilities) < 0).any():
             raise ValueError("probabilities must be non-decreasing")
-        if abs(self.probabilities[-1] - 1.0) > 1e-12:
+        if abs(probabilities[-1] - 1.0) > 1e-12:
             raise ValueError("probabilities must end at 1.0")
 
     def to_json_dict(self) -> dict:
-        return {"values": list(self.values), "probabilities": list(self.probabilities)}
+        return {"values": self.values.tolist(), "probabilities": self.probabilities.tolist()}
 
 
 @dataclass
@@ -363,24 +395,13 @@ def extract_path_loss(
 
 Bins = Union[BinTable, Sequence[GridBin]]
 
-# the GridBin attribute behind each column that the consumers read
-_RECORD_FIELDS = {
-    "ix": "index.ix", "iy": "index.iy", "east": "centroid.east", "north": "centroid.north",
-    "pl_db": "path_loss_db", "d2d_m": "distance_2d_m", "d3d_m": "distance_3d_m",
-}
-
 
 def _bin_columns(bins: Bins, *names: str) -> list[np.ndarray]:
     """The named columns of a BinTable, or of GridBin records (read once,
     so that every consumer runs one array code path)."""
-    if isinstance(bins, BinTable):
-        return [getattr(bins, name) for name in names]
-    bins = list(bins)
-    return [
-        int_array(list(map(attrgetter(_RECORD_FIELDS[name]), bins))) if name in ("ix", "iy")
-        else np.fromiter(map(attrgetter(_RECORD_FIELDS[name]), bins), float, len(bins))
-        for name in names
-    ]
+    if not isinstance(bins, BinTable):
+        bins = BinTable.from_records(bins)
+    return [getattr(bins, name) for name in names]
 
 
 def _inside_any(bins, polygons: Sequence[Polygon], origin: GeodeticPoint, purpose: str) -> np.ndarray:
@@ -568,11 +589,9 @@ def o2i_cdf(session: IndoorSession) -> CdfSeries:
     fading); values are indoor minus reference, so more-negative means
     more penetration loss.
     """
-    reference = float(np.median([s.received_power_dbm for s in session.outdoor_reference]))
-    values = sorted(s.received_power_dbm - reference for s in session.indoor_samples)
-    n = len(values)
-    probabilities = [(i + 1) / n for i in range(n)]
-    return CdfSeries(tuple(values), tuple(probabilities))
+    reference = float(np.median(session.outdoor_reference.rx_dbm))
+    values = np.sort(session.indoor_samples.rx_dbm - reference, kind="stable")
+    return CdfSeries(values, np.arange(1, values.size + 1) / values.size)
 
 
 def distance_profile(
@@ -610,29 +629,26 @@ def _bins_from_arrays(
     band: str,
     grid_size: float,
     los: str,
-) -> list[GridBin]:
+) -> BinTable:
+    """One single-sample bin per draw, at its bearing and 2D distance from
+    ``origin`` (``up`` 0, no median power), checked as GridBin checks."""
+    if grid_size <= 0:
+        raise ValueError("grid_size must be > 0")
+    if los not in LOS_LABELS:
+        raise ValueError(f"los must be one of {LOS_LABELS}")
+    if not np.all(pl > 0):
+        raise ValueError(f"path loss must be positive, got {pl[~(pl > 0)][0]}")
     dh = h_bs_m - h_ut_m
     d2d = np.sqrt(d3d**2 - dh**2)
     east = d2d * np.sin(np.radians(bearings_deg))
     north = d2d * np.cos(np.radians(bearings_deg))
-    ix = np.floor(east / grid_size).astype(int)
-    iy = np.floor(north / grid_size).astype(int)
     lat, lon = unproject(origin, east, north)
-    columns = (ix, iy, pl, d3d, d2d, east, north, lat, lon)
-    return [
-        GridBin(
-            index=GridIndex(i, j, grid_size),
-            path_loss_db=p,
-            distance_3d_m=d3,
-            distance_2d_m=d2,
-            sample_count=1,
-            centroid=LocalPoint(e, n, 0.0),
-            band=band,
-            position=GeodeticPoint(la, lo, origin.altitude_agl),
-            los=los,
-        )
-        for i, j, p, d3, d2, e, n, la, lo in zip(*(c.tolist() for c in columns))
-    ]
+    n = d3d.size
+    return BinTable(np.floor(east / grid_size).astype(np.int64),
+                    np.floor(north / grid_size).astype(np.int64),
+                    east, north, np.zeros(n), np.full(n, np.nan), np.ones(n, dtype=np.int64),
+                    pl, d2d, d3d, lat, lon, np.full(n, los), np.full(n, band),
+                    grid_size=grid_size)
 
 
 def synthesize_samples(
@@ -649,7 +665,7 @@ def synthesize_samples(
     band: str = "3.5GHz",
     grid_size: float = 5.0,
     los: str = "UNKNOWN",
-) -> list[GridBin]:
+) -> BinTable:
     """Synthetic bins from a log-distance law plus Gaussian shadow fading.
 
     Slant distances are log-uniform over the range, bearings uniform, and
@@ -682,7 +698,7 @@ def synthesize_from_model(
     band: str = "3.5GHz",
     grid_size: float = 5.0,
     los: str = "UNKNOWN",
-) -> list[GridBin]:
+) -> BinTable:
     """Synthetic bins whose mean path loss follows a catalog model."""
     info = models.get_model(model_id)
     if info.evaluate is None:
@@ -708,28 +724,16 @@ BIN_FIELDS = ["ix", "iy", "lat", "lon", "d2d_m", "d3d_m", "pl_db", "count", "los
 
 
 def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
-    """Write the bin table (full float precision so re-parsing is lossless)."""
-    if isinstance(bins, BinTable):
-        if np.isnan(bins.pl_db).any():
-            raise ValueError("bin table has no path loss yet; run extract_path_loss first")
-        ix, iy, lat, lon, d2d, d3d, pl, count, los, band = bins.columns(
-            "ix", "iy", "lat", "lon", "d2d_m", "d3d_m", "pl_db", "count", "los", "band")
-        rows = zip(ix, iy, *(map(repr, c) for c in (lat, lon, d2d, d3d, pl)), count, los, band)
-    else:
-        rows = (
-            [
-                b.index.ix, b.index.iy,
-                repr(b.position.latitude) if b.position else "",
-                repr(b.position.longitude) if b.position else "",
-                repr(b.distance_2d_m), repr(b.distance_3d_m), repr(b.path_loss_db),
-                b.sample_count, b.los, b.band,
-            ]
-            for b in bins
-        )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BIN_FIELDS)
-        writer.writerows(rows)
+    """Write the bin table (full float precision so re-parsing is lossless);
+    a bin without a position has empty lat/lon cells."""
+    if not isinstance(bins, BinTable):
+        bins = BinTable.from_records(bins)
+    if np.isnan(bins.pl_db).any():
+        raise ValueError("bin table has no path loss yet; run extract_path_loss first")
+    lat, lon = (np.where(np.isnan(c), None, c) if np.isnan(c).any() else c
+                for c in (bins.lat, bins.lon))
+    write_csv(path, BIN_FIELDS, [bins.ix, bins.iy, lat, lon, bins.d2d_m, bins.d3d_m, bins.pl_db,
+                                 bins.count, bins.los, bins.band])
 
 
 def _read_bin_rows(cells: list[str], checks: RowChecks, grid_size: float) -> list:
@@ -774,12 +778,11 @@ def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:
     whose distances are not finite with 0 < d2d_m <= d3d_m.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != BIN_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(BIN_FIELDS)}")
         chunks = []
-        for cells, checks in read_chunks(reader, len(BIN_FIELDS), lambda row: "wrong field count"):
+        for cells, checks in read_chunks(fh, len(BIN_FIELDS), lambda row: "wrong field count"):
             chunks.append(_read_bin_rows(cells, checks, grid_size))
             checks.raise_first(f"{path}: ")
     if not chunks:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import read_chunks
+from .columns import read_chunks, write_csv
 
 
 @dataclass
@@ -226,12 +226,9 @@ PATTERN_FIELDS = ["azimuth_deg", "elevation_deg", "gain_dbi"]
 
 def save_pattern_csv(pattern: AntennaPattern, path) -> None:
     """Write a pattern as one CSV row per (azimuth, elevation) node."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PATTERN_FIELDS)
-        for i, a in enumerate(pattern.azimuth_deg):
-            for j, e in enumerate(pattern.elevation_deg):
-                writer.writerow([a, e, pattern.gain_dbi[i, j]])
+    az, el = pattern.azimuth_deg, pattern.elevation_deg
+    write_csv(path, PATTERN_FIELDS,
+              [np.repeat(az, el.size), np.tile(el, az.size), pattern.gain_dbi.ravel()])
 
 
 def load_pattern_csv(
@@ -241,12 +238,11 @@ def load_pattern_csv(
     row per grid node; a node given twice is rejected with its line."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != PATTERN_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(PATTERN_FIELDS)}")
         columns, lines = [], []
-        for cells, checks in read_chunks(reader, 3, lambda row: "expected 3 fields"):
+        for cells, checks in read_chunks(fh, 3, lambda row: "expected 3 fields"):
             columns.append([checks.parse(float, cells[j::3]) for j in range(3)])
             checks.raise_first(f"{path}: ")
             lines.extend(checks.lines)

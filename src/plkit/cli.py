@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, antenna, ingest, models
+from .columns import write_csv
 from .geo import GeodeticPoint, load_polygons
 
 CONFIG_KEYS = (
@@ -132,23 +133,19 @@ def cmd_synth(args) -> int:
         ue_height_m=args.h_ut,
     )
     ingest.save_site_config(site, out_dir / "site.json")
+    rx = site.tx_power_dbm + site.rx_gain_dbi - bins.pl_db
+    out_of_range = ~((rx >= -160.0) & (rx <= 0.0))
+    if out_of_range.any():
+        raise ValueError(
+            f"synthetic received power {rx[out_of_range][0]:.1f} dBm out of range; "
+            "adjust --tx-power or the loss parameters"
+        )
+    # one sample per bin, received on the first of 48 beams
     log_path = out_dir / "testbed_log.csv"
-    with open(log_path, "w", newline="", encoding="utf-8") as fh:
-        beam_cols = ",".join(f"mrsrp_{i:02d}" for i in range(48))
-        fh.write(f"timestamp_ms,lat,lon,{beam_cols}\n")
-        for i, b in enumerate(bins):
-            rx = site.tx_power_dbm + site.rx_gain_dbi - b.path_loss_db
-            if not -160.0 <= rx <= 0.0:
-                raise ValueError(
-                    f"synthetic received power {rx:.1f} dBm out of range; "
-                    "adjust --tx-power or the loss parameters"
-                )
-            row = [""] * 48
-            row[0] = repr(rx)
-            fh.write(
-                f"{1000 * (i + 1)},{repr(b.position.latitude)},"
-                f"{repr(b.position.longitude)},{','.join(row)}\n"
-            )
+    header = ["timestamp_ms", "lat", "lon"] + [f"mrsrp_{i:02d}" for i in range(48)]
+    unheard = np.full(len(bins), None)
+    write_csv(log_path, header,
+              [1000 * np.arange(1, len(bins) + 1), bins.lat, bins.lon, rx] + [unheard] * 47)
     print(f"wrote {log_path}, {out_dir / 'site.json'}, {pattern_path} "
           f"({len(bins)} samples, seed {seed})")
     return 0
@@ -334,10 +331,7 @@ def cmd_o2i(args) -> int:
         cdf = analysis.o2i_cdf(session)
         name = f"o2i_{session.building_id}_floor{session.floor}.csv"
         path = out_dir / name
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("loss_db,probability\n")
-            for v, p in zip(cdf.values, cdf.probabilities):
-                fh.write(f"{repr(v)},{repr(p)}\n")
+        write_csv(path, ["loss_db", "probability"], [cdf.values, cdf.probabilities])
         median = cdf.values[len(cdf.values) // 2]
         print(f"building {session.building_id} floor {session.floor}: "
               f"{len(cdf.values)} samples, median {median:.1f} dB -> {path}")

@@ -1,18 +1,28 @@
-"""Streaming CSV rows into checked numpy columns.
+"""CSV rows to checked numpy columns, and numpy columns to CSV lines.
 
-The readers (logs, bin tables, antenna patterns) take rows from a
-``csv.reader`` in chunks of at most ``CHUNK_ROWS``, convert each column of a
-chunk with one ``map`` of ``int``/``float`` and check whole columns at once.
-A reader must still reject a bad file the way a row-by-row pass would: at
-the first offending line, with the message of the first check that line
-fails. :class:`RowChecks` gives that answer when the conversions and checks
-of a chunk are made in the order a row-by-row pass makes them, and a reader
-stops at the first chunk that fails (earlier chunks were clean).
+The readers (logs, bin tables, antenna patterns, sample files) read the
+lines after the header in chunks of at most ``CHUNK_ROWS``. A chunk that
+``csv.reader`` would split at every comma (no quote, carriage return or NUL,
+every line ending in a newline with exactly one comma fewer than the row has
+fields, and no line longer than ``csv.field_size_limit()``) is split with
+``str.split``; from the first chunk that is not, the rest of the file goes
+through ``csv.reader``. Each column of a chunk is converted with one ``map``
+of ``int``/``float`` and checked as a whole. A reader must still reject a
+bad file the way a row-by-row pass would: at the first offending line, with
+the message of the first check that line fails. :class:`RowChecks` gives
+that answer when the conversions and checks of a chunk are made in the
+order a row-by-row pass makes them, and a reader stops at the first chunk
+that fails (earlier chunks were clean).
+
+:func:`write_csv` writes columns back with one format string per table,
+cell for cell as ``csv.writer`` writes the rows.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
+import re
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -72,16 +82,36 @@ class RowChecks:
 
 
 def read_chunks(
-    reader, width: int, field_error: Callable[[list], str]
+    fh, width: int, field_error: Callable[[list], str]
 ) -> Iterator[tuple[list[str], RowChecks]]:
-    """Rows after the header as (cells of the chunk row after row, checks).
+    """Rows of ``fh``, a file (or stream) already past its header line, as
+    (cells of the chunk row after row, checks).
 
     Blank rows are dropped but counted in the line numbers (line 2 is the
-    first row after the header). A row with a field count other than
+    first row after the header; a row is a line until ``csv.reader`` takes
+    over, which numbers rows). A row with a field count other than
     ``width`` ends the stream: the rows before it come with checks that
     already hold ``field_error(row)`` on the line after them.
     """
-    line = 2
+    line, limit = 2, csv.field_size_limit()
+    while True:
+        batch = list(itertools.islice(fh, CHUNK_ROWS))
+        if not batch:
+            return
+        text = "".join(batch)
+        if not (text.endswith("\n") and '"' not in text and "\r" not in text
+                and "\0" not in text and max(map(len, batch)) <= limit
+                and set(map(str.count, batch, itertools.repeat(","))) == {width - 1}):
+            yield from _csv_chunks(csv.reader(itertools.chain(batch, fh)), line, width,
+                                   field_error)
+            return
+        yield text[:-1].replace("\n", ",").split(","), RowChecks(range(line, line + len(batch)))
+        line += len(batch)
+
+
+def _csv_chunks(reader, line: int, width: int, field_error: Callable[[list], str]):
+    """:func:`read_chunks` over the rows of a ``csv.reader``, the first
+    numbered ``line``."""
     while True:
         batch = list(itertools.islice(reader, CHUNK_ROWS))
         if not batch:
@@ -113,3 +143,33 @@ def int_array(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
+
+
+# a string csv.writer may quote (a superset of what it quotes)
+_QUOTABLE = re.compile('[,"\r\n]')
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length numpy columns as a CSV file, one line per row
+    after the header, cell for cell as ``csv.writer`` writes them: floats
+    with ``repr``, ints with ``str``, None as an empty cell, and strings
+    quoted where they need it. A table with a string that may need quotes,
+    or with a column mixing None and values, is written by ``csv.writer``.
+    """
+    values = [c.tolist() for c in columns]
+    fields, args, plain = [], [], True
+    for column, cells in zip(columns, values):
+        if column.dtype.kind == "O" and None in cells:
+            plain = plain and cells.count(None) == len(cells)
+            fields.append("")
+            continue
+        if column.dtype.kind in "UO":
+            plain = plain and not any(_QUOTABLE.search(v) for v in set(cells) if isinstance(v, str))
+        fields.append("{!r}" if column.dtype.kind == "f" else "{}")
+        args.append(cells)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        if plain:
+            fh.writelines(map((",".join(fields) + "\n").format, *args))
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(zip(*values))

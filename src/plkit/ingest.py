@@ -13,11 +13,11 @@ import json
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .columns import RowChecks, int_array, read_chunks
+from .columns import RowChecks, int_array, read_chunks, write_csv
 from .geo import GeodeticPoint
 
 SOURCES = ("TESTBED", "SCANNER")
@@ -184,8 +184,7 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
     """
     fh, should_close = _open_stream(stream_or_path)
     try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ValueError("empty log: missing header")
         header = [h.strip() for h in header]
@@ -206,7 +205,7 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
         width = len(header)
         tables, rows, skipped = [], 0, 0
         for cells, checks in read_chunks(
-            reader, width, lambda row: f"expected {width} fields, got {len(row)}"
+            fh, width, lambda row: f"expected {width} fields, got {len(row)}"
         ):
             ts = checks.parse(int, cells[0::width])
             lat = checks.parse(float, cells[1::width])
@@ -241,14 +240,13 @@ def parse_scanner_log(
         warnings.warn("empty cells-of-interest set: every row will be filtered out")
     fh, should_close = _open_stream(stream_or_path)
     try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != SCANNER_HEADER:
             raise ValueError(f"scanner log must have header {','.join(SCANNER_HEADER)}")
         width = len(SCANNER_HEADER)
         tables, rows, filtered = [], 0, 0
         for cells, checks in read_chunks(
-            reader, width, lambda row: f"expected {width} fields"
+            fh, width, lambda row: f"expected {width} fields"
         ):
             cell = checks.parse(int, cells[3::width])
             keep = np.flatnonzero(np.fromiter(map(wanted.__contains__, cell), bool, len(cell)))
@@ -363,68 +361,69 @@ SAMPLE_FIELDS = [
 ]
 
 
-def write_samples_csv(samples: Iterable[MeasurementSample], path) -> None:
+def write_samples_csv(samples: Union[SampleTable, Iterable[MeasurementSample]], path) -> None:
     """Serialize samples to the canonical sample CSV (full float precision)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SAMPLE_FIELDS)
-        for s in samples:
-            writer.writerow([
-                s.timestamp_ms,
-                repr(s.position.latitude),
-                repr(s.position.longitude),
-                repr(s.position.altitude_agl),
-                repr(s.received_power_dbm),
-                s.band,
-                s.source,
-                "" if s.beam_id is None else s.beam_id,
-                "" if s.cell_id is None else s.cell_id,
-            ])
+    if not isinstance(samples, SampleTable):
+        samples = SampleTable.from_samples(samples)
+    write_csv(path, SAMPLE_FIELDS, [getattr(samples, f.name) for f in fields(SampleTable)])
 
 
-def read_samples_csv(path) -> list[MeasurementSample]:
-    """Read the canonical sample CSV back into samples."""
+def _optional_ints(checks: RowChecks, cells: list[str]) -> np.ndarray:
+    """Object column: ``int`` of each non-empty cell, None for empty ones."""
+    present = np.flatnonzero(np.fromiter(map(bool, cells), bool, len(cells)))
+    column = np.full(len(cells), None, dtype=object)
+    column[present] = checks.parse(int, [cells[k] for k in present.tolist()], present)
+    return column
+
+
+def _read_sample_rows(cells: list[str], checks: RowChecks) -> SampleTable:
+    """The table of one chunk of sample-file rows, checked in the order a
+    MeasurementSample built from each row checks them."""
+    ts, lat, lon, alt, rx, band, source, beam, cell = (
+        cells[j::len(SAMPLE_FIELDS)] for j in range(len(SAMPLE_FIELDS)))
+    ts = checks.parse(int, ts)
+    lat, lon, alt = (checks.parse(float, c) for c in (lat, lon, alt))
+    _check_position(checks, None, lat, lon)
+    rx = checks.parse(float, rx)
+    beam, cell = _optional_ints(checks, beam), _optional_ints(checks, cell)
+    _check_sample(checks, None, ts, rx)
+    checks.check(~np.fromiter(map(SOURCES.__contains__, source), bool, len(source)),
+                 lambda k: f"source must be one of {SOURCES}, got {source[k]!r}")
+    return SampleTable(int_array(ts), *(np.array(c, dtype=float) for c in (lat, lon, alt, rx)),
+                       np.array(band, dtype=str), np.array(source, dtype=str), beam, cell)
+
+
+def read_samples_csv(path) -> SampleTable:
+    """Read the canonical sample CSV back as a SampleTable (iterating it
+    yields the samples); a bad row is reported with its line number."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header] != SAMPLE_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(SAMPLE_FIELDS)}")
-        samples = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SAMPLE_FIELDS):
-                raise ValueError(f"{path}: line {lineno}: wrong field count")
-            try:
-                samples.append(
-                    MeasurementSample(
-                        timestamp_ms=int(row[0]),
-                        position=GeodeticPoint(float(row[1]), float(row[2]), float(row[3])),
-                        received_power_dbm=float(row[4]),
-                        band=row[5],
-                        source=row[6],
-                        beam_id=int(row[7]) if row[7] else None,
-                        cell_id=int(row[8]) if row[8] else None,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return samples
+        tables = []
+        for cells, checks in read_chunks(fh, len(SAMPLE_FIELDS), lambda row: "wrong field count"):
+            tables.append(_read_sample_rows(cells, checks))
+            checks.raise_first(f"{path}: ")
+    return SampleTable.concat(tables)
 
 
 @dataclass
 class IndoorSession:
-    """Indoor walk plus its outdoor reference for one building/floor."""
+    """Indoor walk plus its outdoor reference for one building/floor, as
+    SampleTables (lists of MeasurementSample are turned into tables)."""
 
     building_id: str
     floor: int
-    indoor_samples: list[MeasurementSample]
-    outdoor_reference: list[MeasurementSample]
+    indoor_samples: SampleTable
+    outdoor_reference: SampleTable
 
     def __post_init__(self):
-        if not self.indoor_samples:
+        for name in ("indoor_samples", "outdoor_reference"):
+            if not isinstance(getattr(self, name), SampleTable):
+                setattr(self, name, SampleTable.from_samples(getattr(self, name)))
+        if not len(self.indoor_samples):
             raise ValueError(f"building {self.building_id}: no indoor samples")
-        if not self.outdoor_reference:
+        if not len(self.outdoor_reference):
             raise ValueError(f"building {self.building_id}: no outdoor reference samples")
 
 
@@ -437,11 +436,17 @@ def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
     """
     manifest_path = Path(manifest_path)
     data = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
     entries = data.get("sessions")
     if not entries:
         raise ValueError(f"{manifest_path}: manifest lists no sessions")
+    if not isinstance(entries, list):
+        raise ValueError(f"{manifest_path}: 'sessions' must be a list")
     sessions = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{manifest_path}: session {i} must be an object")
         building = str(entry.get("building_id", "?"))
         for key in ("building_id", "indoor_log", "outdoor_log"):
             if key not in entry:

@@ -36,7 +36,7 @@ def run(args):
 
 @pytest.fixture
 def bins():
-    return synthesize_samples(83.33, 2.9, 6.9, 100.0, 400, (40.0, 2000.0), seed=3, los="NLOS")
+    return list(synthesize_samples(83.33, 2.9, 6.9, 100.0, 400, (40.0, 2000.0), seed=3, los="NLOS"))
 
 
 @pytest.fixture

@@ -232,7 +232,7 @@ class TestCanonicalCsv:
         ]
         path = tmp_path / "samples.csv"
         write_samples_csv(samples, path)
-        assert read_samples_csv(path) == samples
+        assert list(read_samples_csv(path)) == samples
 
 
 class TestIndoorSessions:
