@@ -761,13 +761,14 @@ def _read_bin_rows(cells: list[str], checks: RowChecks, grid_size: float) -> lis
     count = int_array(checks.parse(int, count_s))
     checks.check(~(pl > 0), lambda k: f"path loss must be positive, got {pl[k].item()}")
     checks.check(~(count >= 1), lambda k: "sample_count must be >= 1")
-    los = np.array(los, dtype=str)
-    checks.check(~np.isin(los, LOS_LABELS), lambda k: f"los must be one of {LOS_LABELS}")
+    # on the cells: a numpy string column drops trailing NULs
+    checks.check(~np.fromiter(map(LOS_LABELS.__contains__, los), bool, len(los)),
+                 lambda k: f"los must be one of {LOS_LABELS}")
     full_lat, full_lon = np.full(len(ix), np.nan), np.full(len(ix), np.nan)
     full_lat[has_pos], full_lon[has_pos] = lat_a, lon_a
     nan = np.full(len(ix), np.nan)
-    return [ix, iy, nan, nan, nan, nan, count, pl, d2d, d3d, full_lat, full_lon, los,
-            np.array(band, dtype=str)]
+    return [ix, iy, nan, nan, nan, nan, count, pl, d2d, d3d, full_lat, full_lon,
+            np.array(los, dtype=str), np.array(band, dtype=str)]
 
 
 def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:

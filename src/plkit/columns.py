@@ -154,7 +154,8 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Non
     after the header, cell for cell as ``csv.writer`` writes them: floats
     with ``repr``, ints with ``str``, None as an empty cell, and strings
     quoted where they need it. A table with a string that may need quotes,
-    or with a column mixing None and values, is written by ``csv.writer``.
+    a column mixing None and values, no column of values or a single column
+    (whose empty cells csv quotes) is written by ``csv.writer``.
     """
     values = [c.tolist() for c in columns]
     fields, args, plain = [], [], True
@@ -169,7 +170,7 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Non
         args.append(cells)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        if plain:
+        if plain and args and len(columns) > 1:
             fh.writelines(map((",".join(fields) + "\n").format, *args))
         else:
             csv.writer(fh, lineterminator="\n").writerows(zip(*values))

@@ -387,6 +387,7 @@ def _read_sample_rows(cells: list[str], checks: RowChecks) -> SampleTable:
     rx = checks.parse(float, rx)
     beam, cell = _optional_ints(checks, beam), _optional_ints(checks, cell)
     _check_sample(checks, None, ts, rx)
+    # on the cells: a numpy string column drops trailing NULs
     checks.check(~np.fromiter(map(SOURCES.__contains__, source), bool, len(source)),
                  lambda k: f"source must be one of {SOURCES}, got {source[k]!r}")
     return SampleTable(int_array(ts), *(np.array(c, dtype=float) for c in (lat, lon, alt, rx)),
@@ -443,20 +444,19 @@ def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
         raise ValueError(f"{manifest_path}: manifest lists no sessions")
     if not isinstance(entries, list):
         raise ValueError(f"{manifest_path}: 'sessions' must be a list")
-    sessions = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"{manifest_path}: session {i} must be an object")
-        building = str(entry.get("building_id", "?"))
         for key in ("building_id", "indoor_log", "outdoor_log"):
             if key not in entry:
-                raise ValueError(f"{manifest_path}: building {building}: missing {key!r}")
-        sessions.append(
-            IndoorSession(
-                building_id=building,
-                floor=int(entry.get("floor", 0)),
-                indoor_samples=read_samples_csv(manifest_path.parent / entry["indoor_log"]),
-                outdoor_reference=read_samples_csv(manifest_path.parent / entry["outdoor_log"]),
-            )
+                raise ValueError(f"{manifest_path}: building {entry.get('building_id', '?')}: "
+                                 f"missing {key!r}")
+    return [
+        IndoorSession(
+            building_id=str(entry["building_id"]),
+            floor=int(entry.get("floor", 0)),
+            indoor_samples=read_samples_csv(manifest_path.parent / entry["indoor_log"]),
+            outdoor_reference=read_samples_csv(manifest_path.parent / entry["outdoor_log"]),
         )
-    return sessions
+        for entry in entries
+    ]

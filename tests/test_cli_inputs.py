@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from plkit.analysis import read_bins_csv, write_bins_csv
 from plkit.cli import main
 
 
@@ -88,3 +89,38 @@ class TestInputChecks:
             assert "line 2" in err and f"{column}={value}" in err
         assert not (tmp_path / "fit.json").exists()
         assert not (tmp_path / "cmp").exists()
+
+
+class TestO2iManifestShape:
+    @pytest.mark.parametrize("manifest, message", [
+        ([{"building_id": "1", "indoor_log": "in.csv", "outdoor_log": "out.csv"}],
+         "manifest must be a JSON object"),
+        ({"sessions": {"building_id": "1"}}, "'sessions' must be a list"),
+        ({"sessions": ["in.csv"]}, "session 0 must be an object"),
+        ({"sessions": [{"building_id": "1", "indoor_log": "in.csv", "outdoor_log": "out.csv"},
+                       7]}, "session 1 must be an object"),
+    ])
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest, message):
+        path = tmp_path / "o2i.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["o2i", path, "--out", tmp_path / "cdfs"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "cdfs").exists()
+
+
+class TestBinTableWithoutPositions:
+    def test_table_without_positions_writes_back_and_reads_again(self, tmp_path):
+        bins_path = tmp_path / "bins.csv"
+        synth_bins(bins_path, n=6)
+        lines = bins_path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows[::2]:
+            row[2] = row[3] = ""  # every other bin has no position
+        bins_path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        for table in (read_bins_csv(bins_path), read_bins_csv(bins_path).take([0, 2, 4])):
+            write_bins_csv(table, tmp_path / "again.csv")
+            again = read_bins_csv(tmp_path / "again.csv")
+            assert again == table
+        write_bins_csv(read_bins_csv(bins_path), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == bins_path.read_bytes()

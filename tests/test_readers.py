@@ -1,10 +1,13 @@
 """The columnar readers against the row-by-row loops they replaced.
 
-``read_bins_csv``, ``parse_testbed_log`` and ``parse_scanner_log`` convert
-and check whole columns. The oracles below are the per-row loops of the
-readers before that change, copied here unchanged apart from returning
-plain lists and counts. On generated files, clean and dirty, both must
-give the same records and counts, or fail with the same message and line.
+``read_bins_csv``, ``parse_testbed_log``, ``parse_scanner_log`` and
+``read_samples_csv`` convert and check whole columns. The oracles below are
+the per-row loops of the readers before that change, copied here unchanged
+apart from returning plain lists and counts. On generated files, clean and
+dirty, both must give the same records and counts, or fail with the same
+message and line. The generated files also take the readers off their
+``str.split`` path onto ``csv.reader``: quoted cells, CRLF line ends, no
+final newline, whitespace-only lines and NULs.
 """
 
 import contextlib
@@ -20,7 +23,13 @@ from hypothesis import strategies as st
 import plkit.columns
 from plkit.analysis import BIN_FIELDS, GridBin, read_bins_csv
 from plkit.geo import GeodeticPoint, GridIndex
-from plkit.ingest import MeasurementSample, parse_scanner_log, parse_testbed_log
+from plkit.ingest import (
+    SAMPLE_FIELDS,
+    MeasurementSample,
+    parse_scanner_log,
+    parse_testbed_log,
+    read_samples_csv,
+)
 
 SETTINGS = settings(max_examples=120, deadline=None)
 
@@ -137,6 +146,35 @@ def oracle_parse_scanner_log(fh, cells_of_interest, band="800MHz"):
     return samples, rows, 0, filtered
 
 
+def oracle_read_samples_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != SAMPLE_FIELDS:
+            raise ValueError(f"{path}: expected header {','.join(SAMPLE_FIELDS)}")
+        samples = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(SAMPLE_FIELDS):
+                raise ValueError(f"{path}: line {lineno}: wrong field count")
+            try:
+                samples.append(
+                    MeasurementSample(
+                        timestamp_ms=int(row[0]),
+                        position=GeodeticPoint(float(row[1]), float(row[2]), float(row[3])),
+                        received_power_dbm=float(row[4]),
+                        band=row[5],
+                        source=row[6],
+                        beam_id=int(row[7]) if row[7] else None,
+                        cell_id=int(row[8]) if row[8] else None,
+                    )
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return samples
+
+
 def outcome(fn, *args):
     """(records, rows, skipped, filtered) or the error message."""
     with warnings.catch_warnings():
@@ -186,11 +224,44 @@ def dirty_rows(draw, rows, bad_cells):
             i = draw(st.integers(0, len(rows) - 1))
             j = draw(st.integers(0, len(bad_cells) - 1))
             rows[i][j] = draw(bad_cells[j])
+    if len(rows) > 1 and draw(st.integers(0, 4)) == 0:
+        # one row a field short, another a field long: the file has as
+        # many commas as if both were right
+        i, j = draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        rows[j].append(rows[i].pop())
     lines = [",".join(r) for r in rows]
     for _ in range(draw(st.integers(0, 2))):
         k = draw(st.integers(0, len(lines)))
         lines.insert(k, draw(st.sampled_from(["", "", "", "1,2", ",".join(["1"] * 12)])))
     return lines
+
+
+QUOTED = ['"1,5"', '"x"', '""']
+
+
+@st.composite
+def file_text(draw, header, lines):
+    """The file: header and lines, sometimes with CRLF ends, no final
+    newline, whitespace-only lines, a NUL in a first cell, or a quoted cell
+    (its own value, or one of ``QUOTED``)."""
+    lines = list(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            cells = lines[i].split(",")
+            j = draw(st.integers(0, len(cells) - 1))
+            cells[j] = draw(st.sampled_from([f'"{cells[j]}"'] * 3 + QUOTED))
+            lines[i] = ",".join(cells)
+    if lines and draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = "\0" + lines[i]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([" ", "\t", "  "])))
+    end = draw(st.sampled_from(["\n"] * 6 + ["\r\n"]))
+    text = "".join(f"{line}{end}" for line in [header] + lines)
+    if lines and draw(st.integers(0, 5)) == 0:
+        text = text[:-len(end)]
+    return text
 
 
 BIN_BAD = [
@@ -226,17 +297,35 @@ def bin_row(draw):
 
 
 def bin_files():
-    return st.lists(bin_row(), max_size=10).flatmap(lambda rows: dirty_rows(rows, BIN_BAD))
+    return st.lists(bin_row(), max_size=10).flatmap(
+        lambda rows: dirty_rows(rows, BIN_BAD)).flatmap(
+        lambda lines: file_text(",".join(BIN_FIELDS), lines))
+
+
+GOOD_BIN = "1,2,47.0,8.0,100.0,101.0,90.0,1,LOS,3.5GHz"
 
 
 @SETTINGS
-@given(lines=bin_files(), grid_size=st.sampled_from([5.0, 5.0, 2.5, 0.0]), chunk=CHUNKS)
-@example(lines=["1,2,47.0,8.0,100.0,101.0,90.0,0,LOS,"], grid_size=5.0, chunk=2)
-@example(lines=["1,2,,x,100.0,101.0,-5,1,LOS,", "3,4,91,8,1,1,1,1,LOS,"], grid_size=5.0, chunk=2)
-@example(lines=["", "1,2,47.0,8.0,100.0,101.0,90.0,1,NLOS,"], grid_size=0.0, chunk=2)
-def test_read_bins_csv_matches_per_row_reader(tmp_path_factory, lines, grid_size, chunk):
+@given(text=bin_files(), grid_size=st.sampled_from([5.0, 5.0, 2.5, 0.0]), chunk=CHUNKS)
+@example(text=",".join(BIN_FIELDS) + "\n1,2,47.0,8.0,100.0,101.0,90.0,0,LOS,\n",
+         grid_size=5.0, chunk=2)
+@example(text=",".join(BIN_FIELDS) + "\n1,2,,x,100.0,101.0,-5,1,LOS,\n3,4,91,8,1,1,1,1,LOS,\n",
+         grid_size=5.0, chunk=2)
+@example(text=",".join(BIN_FIELDS) + "\n\n1,2,47.0,8.0,100.0,101.0,90.0,1,NLOS,\n",
+         grid_size=0.0, chunk=2)
+# a quoted cell after two clean chunks, then a short row and a long one
+@example(text="\n".join([",".join(BIN_FIELDS)] + [GOOD_BIN] * 4
+                        + ['1,"2",47.0,8.0,100.0,101.0,90.0,1,LOS,"3.5,GHz"', GOOD_BIN,
+                           "1,2", GOOD_BIN + ",x,y"]) + "\n", grid_size=5.0, chunk=2)
+@example(text=",".join(BIN_FIELDS) + "\n" + GOOD_BIN + "\n" + GOOD_BIN, grid_size=5.0, chunk=3)
+@example(text="\r\n".join([",".join(BIN_FIELDS), GOOD_BIN, GOOD_BIN[:-6]]) + "\r\n",
+         grid_size=5.0, chunk=4096)
+# a row a field short, then one a field long
+@example(text="\n".join([",".join(BIN_FIELDS), GOOD_BIN[:-7], GOOD_BIN + ",x"]) + "\n",
+         grid_size=5.0, chunk=4096)
+def test_read_bins_csv_matches_per_row_reader(tmp_path_factory, text, grid_size, chunk):
     path = tmp_path_factory.mktemp("bins") / "bins.csv"
-    path.write_text(",".join(BIN_FIELDS) + "\n" + "".join(f"{l}\n" for l in lines))
+    path.write_bytes(text.encode())
     want = outcome(oracle_read_bins_csv, path, grid_size)
     with chunk_rows(chunk):
         got = outcome(lambda: list(read_bins_csv(path, grid_size=grid_size)))
@@ -272,7 +361,7 @@ def make_testbed_log(draw):
     # an empty position is a bad latitude or longitude cell
     lines = draw(dirty_rows(rows, TESTBED_BAD[:3 + len(beams)]))
     header = ",".join(["timestamp_ms", "lat", "lon"] + [f"mrsrp_{b:02d}" for b in beams])
-    return header + "\n" + "".join(f"{l}\n" for l in lines)
+    return draw(file_text(header, lines))
 
 
 @SETTINGS
@@ -308,7 +397,7 @@ def make_scanner_log(draw):
         for _ in range(draw(st.integers(0, 12)))
     ]
     lines = draw(dirty_rows(rows, SCANNER_BAD))
-    return "timestamp_ms,lat,lon,cell_id,rsrp_dbm\n" + "".join(f"{l}\n" for l in lines)
+    return draw(file_text("timestamp_ms,lat,lon,cell_id,rsrp_dbm", lines))
 
 
 @SETTINGS
@@ -316,6 +405,7 @@ def make_scanner_log(draw):
 @example(text="timestamp_ms,lat,lon,cell_id,rsrp_dbm\n1,47,8,12,-80\n2,47,8,x,-80\n", chunk=2)
 @example(text="timestamp_ms,lat,lon,cell_id,rsrp_dbm\n1,47,8,10,nan\n2,47,8,1.5,-80\n", chunk=2)
 @example(text="timestamp_ms,lat,lon,cell_id,rsrp_dbm\n1,95,8,12,x\n", chunk=2)
+@example(text="timestamp_ms,lat,lon,cell_id,rsrp_dbm\n1,47,8,12\n2,47,8,12,-80,5\n", chunk=2)
 def test_parse_scanner_log_matches_per_row_parser(text, chunk):
     want = outcome(oracle_parse_scanner_log, io.StringIO(text), {12, 13})
     with chunk_rows(chunk):
@@ -324,6 +414,79 @@ def test_parse_scanner_log_matches_per_row_parser(text, chunk):
         assert got == want
     else:
         assert (got.samples, got.rows, got.skipped, got.filtered) == want
+
+
+SAMPLE_BAD = [
+    st.sampled_from(["0", "-5", "x", "1.5", ""]),
+    st.sampled_from(["nan", "95", "x", ""]),
+    st.sampled_from(["-181", "inf", "x", ""]),
+    st.sampled_from(["x", "", "inf"]),
+    st.sampled_from(["x", "5.0", "nan", "-inf", "-161", ""]),
+    st.sampled_from(["", "3.5 GHz"]),
+    st.sampled_from(["testbed", "", "OTHER"]),
+    st.sampled_from(["x", "1.5", " ", "-1"]),
+    st.sampled_from(["x", "12.0", " "]),
+]
+
+
+def optional_ints():
+    return st.one_of(st.just(""), st.just(""), padded(ints(-5, 400)),
+                     st.just("99999999999999999999"))
+
+
+@st.composite
+def make_samples_file(draw):
+    rows = [
+        [draw(padded(ints(1, 10**13))), draw(padded(floats(-90.0, 90.0))),
+         draw(padded(floats(-180.0, 180.0))), draw(padded(floats(0.0, 30.0))),
+         draw(padded(floats(-160.0, 0.0))), draw(st.sampled_from(["3.5GHz", "800MHz", ""])),
+         draw(st.sampled_from(["TESTBED", "SCANNER"])), draw(optional_ints()),
+         draw(optional_ints())]
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    lines = draw(dirty_rows(rows, SAMPLE_BAD))
+    return draw(file_text(",".join(SAMPLE_FIELDS), lines))
+
+
+@SETTINGS
+@given(text=make_samples_file(), chunk=CHUNKS)
+@example(text=",".join(SAMPLE_FIELDS) + "\n1,47,8,0,-80,b,TESTBED,,\n2,47,8,0,-80,b,SCANNER,,x\n",
+         chunk=2)
+@example(text=",".join(SAMPLE_FIELDS) + "\n1,95,8,x,-80,b,TESTBED,,\n", chunk=2)
+@example(text=",".join(SAMPLE_FIELDS) + "\n0,47,8,0,5,b,OTHER,x,\n", chunk=2)
+@example(text=",".join(SAMPLE_FIELDS) + '\n1,47,8,0,-80,"a,b",TESTBED,3,\n', chunk=2)
+@example(text=",".join(SAMPLE_FIELDS) + "\r\n1,47,8,0,-80,b,TESTBED,3,\r\n", chunk=2)
+def test_read_samples_csv_matches_per_row_reader(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.mktemp("samples") / "samples.csv"
+    path.write_bytes(text.encode())
+    want = outcome(oracle_read_samples_csv, path)
+    with chunk_rows(chunk):
+        got = outcome(lambda: list(read_samples_csv(path)))
+    assert got == want
+
+
+def test_a_field_over_the_csv_limit_fails_as_csv_reader_does(tmp_path):
+    path = tmp_path / "bins.csv"
+    path.write_text(",".join(BIN_FIELDS) + "\n" + GOOD_BIN + "\n" + GOOD_BIN + "x" * 40 + "\n")
+    saved = csv.field_size_limit(40)
+    try:
+        with pytest.raises(csv.Error) as want:
+            oracle_read_bins_csv(path)
+        with pytest.raises(csv.Error) as got:
+            read_bins_csv(path)
+    finally:
+        csv.field_size_limit(saved)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_label_with_a_nul_is_rejected(tmp_path):
+    path = tmp_path / "bins.csv"
+    path.write_text(",".join(BIN_FIELDS) + "\n1,2,47.0,8.0,100.0,101.0,90.0,1,LOS\0,3.5GHz\n")
+    with pytest.raises(ValueError, match=r"line 2: los must be one of"):
+        read_bins_csv(path)
+    path.write_text(",".join(SAMPLE_FIELDS) + "\n1,47,8,0,-80,b,TESTBED\0,,\n")
+    with pytest.raises(ValueError, match=r"line 2: source must be one of"):
+        read_samples_csv(path)
 
 
 # -- the first offending line wins, whatever column it is in ----------------------
