@@ -89,9 +89,11 @@ class BinTable:
     centroid's lat/lon (NaN until then) and the band; :func:`classify_los`
     the labels ("UNKNOWN" until then). :func:`read_bins_csv` fills the
     columns a bin-table file holds and leaves the centroid and median power
-    NaN (and lat/lon where the file has no position). ``band`` is a column
-    of per-bin labels, so a file whose rows name different bands reads
-    back row for row. Iterating yields :class:`GridBin` records.
+    NaN (and lat/lon where the file has no position); the synthesizers
+    fill every column but the median power, with one sample per bin.
+    ``band`` is a column of per-bin labels, so a file whose rows name
+    different bands reads back row for row. Iterating yields
+    :class:`GridBin` records.
     """
 
     ix: np.ndarray
@@ -125,13 +127,13 @@ class BinTable:
         """A table of GridBin records: NaN where a record has no centroid,
         median power or position."""
         bins = list(bins)
-        nan3 = (math.nan,) * 3
+        nan = math.nan
         rows = [
             (b.index.ix, b.index.iy,
-             *((b.centroid.east, b.centroid.north, b.centroid.up) if b.centroid else nan3),
-             math.nan if b.median_rx_power_dbm is None else b.median_rx_power_dbm,
+             *((b.centroid.east, b.centroid.north, b.centroid.up) if b.centroid else (nan,) * 3),
+             nan if b.median_rx_power_dbm is None else b.median_rx_power_dbm,
              b.sample_count, b.path_loss_db, b.distance_2d_m, b.distance_3d_m,
-             *((b.position.latitude, b.position.longitude) if b.position else nan3[:2]),
+             *((b.position.latitude, b.position.longitude) if b.position else (nan, nan)),
              b.los, b.band)
             for b in bins
         ]
