@@ -153,24 +153,31 @@ def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> Non
     """Write equal-length numpy columns as a CSV file, one line per row
     after the header, cell for cell as ``csv.writer`` writes them: floats
     with ``repr``, ints with ``str``, None as an empty cell, and strings
-    quoted where they need it. A table with a string that may need quotes,
-    a column mixing None and values, no column of values or a single column
-    (whose empty cells csv quotes) is written by ``csv.writer``.
+    quoted where they need it. Rows go out ``CHUNK_ROWS`` at a time, so
+    that only a chunk of the table is ever held as Python objects.
     """
-    values = [c.tolist() for c in columns]
-    fields, args, plain = [], [], True
-    for column, cells in zip(columns, values):
-        if column.dtype.kind == "O" and None in cells:
+    kinds = [c.dtype.kind for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            _write_lines(fh, kinds, [c[start:start + CHUNK_ROWS].tolist() for c in columns])
+
+
+def _write_lines(fh, kinds: list[str], values: list[list]) -> None:
+    """Rows of one chunk, from one format string; a chunk with a string that
+    may need quotes, a column mixing None and values, no column of values or
+    a single column (whose empty cells csv quotes) goes to ``csv.writer``."""
+    fields, args, plain = [], [], len(values) > 1
+    for kind, cells in zip(kinds, values):
+        if kind == "O" and None in cells:
             plain = plain and cells.count(None) == len(cells)
             fields.append("")
             continue
-        if column.dtype.kind in "UO":
+        if kind in "UO":
             plain = plain and not any(_QUOTABLE.search(v) for v in set(cells) if isinstance(v, str))
-        fields.append("{!r}" if column.dtype.kind == "f" else "{}")
+        fields.append("{!r}" if kind == "f" else "{}")
         args.append(cells)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        if plain and args and len(columns) > 1:
-            fh.writelines(map((",".join(fields) + "\n").format, *args))
-        else:
-            csv.writer(fh, lineterminator="\n").writerows(zip(*values))
+    if plain and args:
+        fh.writelines(map((",".join(fields) + "\n").format, *args))
+    else:
+        csv.writer(fh, lineterminator="\n").writerows(zip(*values))

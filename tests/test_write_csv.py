@@ -1,8 +1,9 @@
 """``columns.write_csv`` writes what ``csv.writer`` writes for the same rows.
 
 The bin-table, sample and CDF writers build each line from one format
-string; this pins that the result is ``csv.writer``'s, byte for byte: floats
-with ``repr``, None as an empty cell, strings quoted where csv quotes them.
+string, a chunk of rows at a time; this pins that the result is
+``csv.writer``'s, byte for byte: floats with ``repr``, None as an empty
+cell, strings quoted where csv quotes them.
 """
 
 import csv
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plkit.columns import write_csv
+from test_readers import chunk_rows
 
 
 def csv_writer_bytes(path, header, columns):
@@ -52,13 +54,15 @@ def tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(columns=tables())
-@example(columns=[np.array([0.1, -0.0, 1e16, 1e-05, np.nan]), np.array(["a,b", "", "x", '"', "y"])])
-@example(columns=[np.array([1.5, 2.5]), np.array([None, None], dtype=object)])
-@example(columns=[np.array([1.5, 2.5]), np.array([None, 3], dtype=object)])
-def test_write_csv_matches_csv_writer(tmp_path_factory, columns):
+@given(columns=tables(), chunk=st.sampled_from([2, 3, 4096]))
+@example(columns=[np.array([0.1, -0.0, 1e16, 1e-05, np.nan]), np.array(["a,b", "", "x", '"', "y"])],
+         chunk=2)
+@example(columns=[np.array([1.5, 2.5]), np.array([None, None], dtype=object)], chunk=4096)
+@example(columns=[np.array([1.5, 2.5, 3.5]), np.array([None, None, 3], dtype=object)], chunk=2)
+def test_write_csv_matches_csv_writer(tmp_path_factory, columns, chunk):
     directory = tmp_path_factory.mktemp("csv")
     header = [f"c{k}" for k in range(len(columns))]
-    write_csv(directory / "got.csv", header, columns)
+    with chunk_rows(chunk):
+        write_csv(directory / "got.csv", header, columns)
     assert (directory / "got.csv").read_bytes() == csv_writer_bytes(
         directory / "want.csv", header, columns)
