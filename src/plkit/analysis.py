@@ -123,18 +123,21 @@ class BinTable:
                    np.full(n, ""), grid_size=grid_size)
 
     @classmethod
-    def from_records(cls, bins: Iterable[GridBin]) -> "BinTable":
-        """A table of GridBin records: NaN where a record has no centroid,
-        median power or position."""
+    def from_records(cls, bins: Iterable[Union[GridBin, BinAggregate]]) -> "BinTable":
+        """A table of GridBin or BinAggregate records, with the first record's
+        grid size: NaN where a record has no centroid, median power, path
+        loss, distances or position, "UNKNOWN" and "" where it has no label
+        or band."""
         bins = list(bins)
         nan = math.nan
         rows = [
             (b.index.ix, b.index.iy,
              *((b.centroid.east, b.centroid.north, b.centroid.up) if b.centroid else (nan,) * 3),
-             nan if b.median_rx_power_dbm is None else b.median_rx_power_dbm,
-             b.sample_count, b.path_loss_db, b.distance_2d_m, b.distance_3d_m,
-             *((b.position.latitude, b.position.longitude) if b.position else (nan, nan)),
-             b.los, b.band)
+             nan if b.median_rx_power_dbm is None else b.median_rx_power_dbm, b.sample_count,
+             *(getattr(b, f, nan) for f in ("path_loss_db", "distance_2d_m", "distance_3d_m")),
+             *((b.position.latitude, b.position.longitude)
+               if getattr(b, "position", None) else (nan, nan)),
+             getattr(b, "los", "UNKNOWN"), getattr(b, "band", ""))
             for b in bins
         ]
         ix, iy, e, n, u, rx, c, pl, d2, d3, la, lo, los, band = zip(*rows) if rows else [()] * 14
@@ -276,6 +279,23 @@ def _cell_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> n
     return means
 
 
+def _table(records, kind: type = BinTable):
+    """The one conversion of list input: a table of ``kind`` unchanged,
+    MeasurementSample records through SampleTable.from_samples, GridBin or
+    BinAggregate records through BinTable.from_records."""
+    if isinstance(records, kind):
+        return records
+    if kind is SampleTable:
+        return SampleTable.from_samples(records)
+    return BinTable.from_records(records)
+
+
+def _like(given, table: BinTable, to_records=list):
+    """``table`` if the caller gave a table, else ``to_records(table)``
+    (GridBin records by default): lists in, lists out."""
+    return table if isinstance(given, (BinTable, SampleTable)) else to_records(table)
+
+
 def _aggregate(samples: SampleTable, origin: GeodeticPoint, grid_size: float) -> BinTable:
     if grid_size <= 0:
         raise ValueError("grid_size must be > 0")
@@ -302,6 +322,16 @@ def _aggregate(samples: SampleTable, origin: GeodeticPoint, grid_size: float) ->
     )
 
 
+def _aggregates(table: BinTable) -> list[BinAggregate]:
+    """An aggregated table's rows as BinAggregate records."""
+    return [
+        BinAggregate(GridIndex(i, j, table.grid_size), LocalPoint(e, n, u), rx, c)
+        for i, j, e, n, u, rx, c in zip(
+            *table.columns("ix", "iy", "east", "north", "up", "rx_dbm", "count")
+        )
+    ]
+
+
 def aggregate_bins(
     samples: Union[SampleTable, Iterable[MeasurementSample]],
     origin: GeodeticPoint,
@@ -315,18 +345,24 @@ def aggregate_bins(
     :class:`SampleTable` gives a :class:`BinTable` in cell order;
     MeasurementSample objects give the same bins as BinAggregate objects.
     """
-    if isinstance(samples, SampleTable):
-        return _aggregate(samples, origin, grid_size)
-    table = _aggregate(SampleTable.from_samples(samples), origin, grid_size)
-    return [
-        BinAggregate(GridIndex(i, j, grid_size), LocalPoint(e, n, u), rx, c)
-        for i, j, e, n, u, rx, c in zip(
-            *table.columns("ix", "iy", "east", "north", "up", "rx_dbm", "count")
-        )
-    ]
+    return _like(samples, _aggregate(_table(samples, SampleTable), origin, grid_size), _aggregates)
 
 
-def _link_budget(table: BinTable, site: SiteConfig, pattern: AntennaPattern, band: str) -> BinTable:
+def extract_path_loss(
+    aggregates: Union[BinTable, Sequence[BinAggregate]],
+    site: SiteConfig,
+    pattern: AntennaPattern,
+    band: str = "",
+) -> Union[BinTable, list[GridBin]]:
+    """Link-budget path loss per bin: PL = P_T + G_T(az, el) + G_R - P_R.
+
+    Uses the feeder-corrected transmit power, the pattern gain toward the
+    bin centroid, and the configured receive gain. Bins right at the site
+    (zero horizontal distance) have no defined azimuth and are dropped,
+    with one warning for all of them. A BinTable gives a BinTable;
+    BinAggregate objects give GridBin objects.
+    """
+    table = _table(aggregates)
     dz = (table.up + site.ue_height_m) - site.antenna_height_agl_m
     d2d, azimuth, elevation = link_angles(table.east, table.north, dz)
     at_site = d2d <= 1e-9
@@ -344,104 +380,42 @@ def _link_budget(table: BinTable, site: SiteConfig, pattern: AntennaPattern, ban
     if not np.all(pl > 0):
         raise ValueError(f"path loss must be positive, got {pl[~(pl > 0)][0]}")
     lat, lon = unproject(site.site_position, table.east, table.north)
-    return replace(table, pl_db=pl, d2d_m=d2d, d3d_m=hypot(d2d, dz), lat=lat, lon=lon,
-                   band=np.full(len(table), band))
-
-
-def extract_path_loss(
-    aggregates: Union[BinTable, Sequence[BinAggregate]],
-    site: SiteConfig,
-    pattern: AntennaPattern,
-    band: str = "",
-) -> Union[BinTable, list[GridBin]]:
-    """Link-budget path loss per bin: PL = P_T + G_T(az, el) + G_R - P_R.
-
-    Uses the feeder-corrected transmit power, the pattern gain toward the
-    bin centroid, and the configured receive gain. Bins right at the site
-    (zero horizontal distance) have no defined azimuth and are dropped,
-    with one warning for all of them. A BinTable gives a BinTable;
-    BinAggregate objects give GridBin objects.
-    """
-    if isinstance(aggregates, BinTable):
-        return _link_budget(aggregates, site, pattern, band)
-    aggregates = list(aggregates)
-    table = _link_budget(
-        BinTable.aggregated(
-            [a.index.ix for a in aggregates], [a.index.iy for a in aggregates],
-            [a.centroid.east for a in aggregates], [a.centroid.north for a in aggregates],
-            [a.centroid.up for a in aggregates], [a.median_rx_power_dbm for a in aggregates],
-            [a.sample_count for a in aggregates],
-            aggregates[0].index.grid_size if aggregates else 5.0,
-        ),
-        site, pattern, band,
-    )
-    altitude = site.site_position.altitude_agl
-    return [
-        GridBin(
-            index=GridIndex(i, j, table.grid_size),
-            path_loss_db=pl,
-            distance_3d_m=d3,
-            distance_2d_m=d2,
-            sample_count=c,
-            centroid=LocalPoint(e, n, u),
-            median_rx_power_dbm=rx,
-            band=band,
-            position=GeodeticPoint(la, lo, altitude + u),
-        )
-        for i, j, e, n, u, rx, c, pl, d2, d3, la, lo in zip(*table.columns(
-            "ix", "iy", "east", "north", "up", "rx_dbm", "count",
-            "pl_db", "d2d_m", "d3d_m", "lat", "lon",
-        ))
-    ]
+    return _like(aggregates, replace(table, pl_db=pl, d2d_m=d2d, d3d_m=hypot(d2d, dz),
+                                     lat=lat, lon=lon, band=np.full(len(table), band)))
 
 
 Bins = Union[BinTable, Sequence[GridBin]]
 
 
-def _bin_columns(bins: Bins, *names: str) -> list[np.ndarray]:
-    """The named columns of a BinTable, or of GridBin records (read once,
-    so that every consumer runs one array code path)."""
-    if not isinstance(bins, BinTable):
-        bins = BinTable.from_records(bins)
-    return [getattr(bins, name) for name in names]
-
-
-def _inside_any(bins, polygons: Sequence[Polygon], origin: GeodeticPoint, purpose: str) -> np.ndarray:
+def _inside_any(table: BinTable, polygons: Sequence[Polygon], origin: GeodeticPoint,
+                purpose: str) -> np.ndarray:
     """Whether each bin's centroid lies in any of the polygons, projected
     onto the tangent plane at ``origin``."""
-    if not isinstance(bins, BinTable) and any(b.centroid is None for b in bins):
+    if np.isnan(table.east).any():
         raise ValueError(f"bins must carry centroids for {purpose}")
-    east, north = _bin_columns(bins, "east", "north")
-    inside = np.zeros(east.size, dtype=bool)
+    inside = np.zeros(len(table), dtype=bool)
     for poly in polygons:
-        inside |= points_in_ring(east, north, project_polygon(origin, poly))
+        inside |= points_in_ring(table.east, table.north, project_polygon(origin, poly))
     return inside
 
 
-def classify_los(
-    bins: Union[BinTable, Sequence[GridBin]], polygons: Sequence[Polygon], origin: GeodeticPoint
-) -> Union[BinTable, list[GridBin]]:
+def classify_los(bins: Bins, polygons: Sequence[Polygon], origin: GeodeticPoint) -> Bins:
     """Label every bin LOS if its centroid falls in any LOS polygon.
 
     Polygons are projected onto the same tangent plane as the bins. With
     no polygons at all, everything is NLOS.
     """
+    table = _table(bins)
     los = [p for p in polygons if p.label == "LOS"]
-    labels = np.where(_inside_any(bins, los, origin, "LOS classification"), "LOS", "NLOS")
-    if isinstance(bins, BinTable):
-        return replace(bins, los=labels)
-    return [replace(b, los=label) for b, label in zip(bins, labels.tolist())]
+    inside = _inside_any(table, los, origin, "LOS classification")
+    return _like(bins, replace(table, los=np.where(inside, "LOS", "NLOS")))
 
 
-def apply_exclusion_mask(
-    bins: Union[BinTable, Sequence[GridBin]], polygons: Sequence[Polygon], origin: GeodeticPoint
-) -> Union[BinTable, list[GridBin]]:
+def apply_exclusion_mask(bins: Bins, polygons: Sequence[Polygon], origin: GeodeticPoint) -> Bins:
     """Drop bins whose centroid falls inside any mask polygon (label is
     ignored); used to cut out known-bad street segments."""
-    masked = _inside_any(bins, polygons, origin, "exclusion masking")
-    if isinstance(bins, BinTable):
-        return bins.take(~masked)
-    return [b for b, m in zip(bins, masked.tolist()) if not m]
+    table = _table(bins)
+    return _like(bins, table.take(~_inside_any(table, polygons, origin, "exclusion masking")))
 
 
 def fit_log_distance(
@@ -459,13 +433,14 @@ def fit_log_distance(
     of the residuals. Bins closer than min_d (default d0, where the
     log-distance form does not apply) or farther than max_d are ignored.
     Like the other consumers of bin tables, it takes a BinTable or GridBin
-    records (whose fields it reads into arrays once).
+    records (converted to a table once).
     """
     if d0_m <= 0:
         raise ValueError("d0_m must be > 0")
     lo = d0_m if min_d_m is None else min_d_m
     hi = math.inf if max_d_m is None else max_d_m
-    d_all, pl_all = _bin_columns(bins, "d2d_m" if use_2d else "d3d_m", "pl_db")
+    table = _table(bins)
+    d_all, pl_all = table.d2d_m if use_2d else table.d3d_m, table.pl_db
     keep = (d_all >= lo) & (d_all <= hi)
     d, pl = d_all[keep], pl_all[keep]
     if d.size < 2:
@@ -503,7 +478,8 @@ def prediction_errors(bins: Bins, model_id: str, template: models.LinkGeometry) 
     statistics are computed in the dB domain; sigma_e uses the (n-1)
     sample deviation and rmse is sqrt(mean(e^2)).
     """
-    d2d, d3d, pl = _bin_columns(bins, "d2d_m", "d3d_m", "pl_db")
+    table = _table(bins)
+    d2d, d3d, pl = table.d2d_m, table.d3d_m, table.pl_db
     if not pl.size:
         raise ValueError("no bins to compare against")
     info = models.get_model(model_id)
@@ -517,10 +493,10 @@ def prediction_errors(bins: Bins, model_id: str, template: models.LinkGeometry) 
     return ErrorStats(mu_e=mu, sigma_e=sigma, rmse=rmse, n=n)
 
 
-def _path_loss_by_cell(bins: Bins) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _path_loss_by_cell(table: BinTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cells in (ix, iy) order with their mean path loss; a cell's rows are
     summed in table order with Python's ``sum``, as a per-cell list was."""
-    ix, iy, pl = _bin_columns(bins, "ix", "iy", "pl_db")
+    ix, iy, pl = table.ix, table.iy, table.pl_db
     order = np.lexsort((iy, ix))
     ix, iy, pl = ix[order], iy[order], pl[order]
     first = np.ones(ix.size, dtype=bool)
@@ -540,8 +516,8 @@ def pair_bins_by_index(bins_high: Bins, bins_low: Bins):
     Only cells present in both tables are used; duplicate cells within one
     table are averaged first.
     """
-    hx, hy, hpl = _path_loss_by_cell(bins_high)
-    lx, ly, lpl = _path_loss_by_cell(bins_low)
+    hx, hy, hpl = _path_loss_by_cell(_table(bins_high))
+    lx, ly, lpl = _path_loss_by_cell(_table(bins_low))
     # each side's cells are unique, so a shared cell is two adjacent rows
     # of the merged, sorted keys: the high band's first
     ix, iy = np.concatenate([hx, lx]), np.concatenate([hy, ly])
@@ -571,7 +547,8 @@ def frequency_offset(pairs) -> tuple[float, float]:
 def shadow_fading(bins: Bins, fit: FitResult, use_2d: bool = False) -> ShadowFading:
     """Residuals around a fitted log-distance line, with Gaussian moments
     and a 1 dB histogram (pass the same bins the fit was made from)."""
-    d, pl = _bin_columns(bins, "d2d_m" if use_2d else "d3d_m", "pl_db")
+    table = _table(bins)
+    d, pl = table.d2d_m if use_2d else table.d3d_m, table.pl_db
     residuals = pl - (fit.a0_db + 10.0 * fit.gamma * np.log10(d / fit.d0_m))
     mean = float(residuals.mean())
     sigma = float(np.std(residuals, ddof=1)) if residuals.size > 1 else 0.0
@@ -603,7 +580,8 @@ def distance_profile(
     distance; returns (ring center, median PL) points."""
     if step_m <= 0:
         raise ValueError("step_m must be > 0")
-    d, pl = _bin_columns(bins, "d2d_m" if use_2d else "d3d_m", "pl_db")
+    table = _table(bins)
+    d, pl = table.d2d_m if use_2d else table.d3d_m, table.pl_db
     if not np.isfinite(d).all():
         raise ValueError("distances must be finite")
     ring = np.floor(d / step_m)
@@ -728,8 +706,7 @@ BIN_FIELDS = ["ix", "iy", "lat", "lon", "d2d_m", "d3d_m", "pl_db", "count", "los
 def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
     """Write the bin table (full float precision so re-parsing is lossless);
     a bin without a position has empty lat/lon cells."""
-    if not isinstance(bins, BinTable):
-        bins = BinTable.from_records(bins)
+    bins = _table(bins)
     if np.isnan(bins.pl_db).any():
         raise ValueError("bin table has no path loss yet; run extract_path_loss first")
     lat, lon = (np.where(np.isnan(c), None, c) if np.isnan(c).any() else c
