@@ -25,6 +25,7 @@ from .geo import (
     GridIndex,
     LocalPoint,
     Polygon,
+    check_grid_size,
     hypot,
     link_angles,
     points_in_ring,
@@ -35,7 +36,7 @@ from .geo import (
 
 # unused here, but perfbench/tracing.py wraps these names in this module
 from .geo import from_local, point_in_ring, to_local  # noqa: F401
-from .ingest import IndoorSession, MeasurementSample, SampleTable, SiteConfig
+from .ingest import IndoorSession, MeasurementSample, SampleTable, SiteConfig, _check_position
 
 LOS_LABELS = ("LOS", "NLOS", "UNKNOWN")
 
@@ -93,7 +94,7 @@ class BinTable:
     fill every column but the median power, with one sample per bin.
     ``band`` is a column of per-bin labels, so a file whose rows name
     different bands reads back row for row. Iterating yields
-    :class:`GridBin` records.
+    :class:`GridBin` records, whose positions have altitude 0.
     """
 
     ix: np.ndarray
@@ -296,14 +297,22 @@ def _like(given, table: BinTable, to_records=list):
     return table if isinstance(given, (BinTable, SampleTable)) else to_records(table)
 
 
+def _cells(east: np.ndarray, north: np.ndarray, grid_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cell indices of tangent-plane points. The grid size must be
+    finite and > 0, and small enough sizes that an index leaves int64 are
+    refused."""
+    check_grid_size(grid_size)
+    ix, iy = np.floor(east / grid_size), np.floor(north / grid_size)
+    if not ((np.abs(ix) < 2.0**63).all() and (np.abs(iy) < 2.0**63).all()):
+        raise ValueError(f"grid_size {grid_size!r} is too small: cell indices overflow int64")
+    return ix.astype(np.int64), iy.astype(np.int64)
+
+
 def _aggregate(samples: SampleTable, origin: GeodeticPoint, grid_size: float) -> BinTable:
-    if grid_size <= 0:
-        raise ValueError("grid_size must be > 0")
     east, north = project(origin, samples.lat, samples.lon)
     up = samples.alt - origin.altitude_agl
     power = samples.rx_dbm
-    ix = np.floor(east / grid_size).astype(np.int64)
-    iy = np.floor(north / grid_size).astype(np.int64)
+    ix, iy = _cells(east, north, grid_size)
     # cells in (ix, iy) order; members sorted by (east, north, up, power)
     order = np.lexsort((power, up, north, east, iy, ix))
     by_power = np.lexsort((power, iy, ix))
@@ -612,8 +621,6 @@ def _bins_from_arrays(
 ) -> BinTable:
     """One single-sample bin per draw, at its bearing and 2D distance from
     ``origin`` (``up`` 0, no median power), checked as GridBin checks."""
-    if grid_size <= 0:
-        raise ValueError("grid_size must be > 0")
     if los not in LOS_LABELS:
         raise ValueError(f"los must be one of {LOS_LABELS}")
     if not np.all(pl > 0):
@@ -622,13 +629,12 @@ def _bins_from_arrays(
     d2d = np.sqrt(d3d**2 - dh**2)
     east = d2d * np.sin(np.radians(bearings_deg))
     north = d2d * np.cos(np.radians(bearings_deg))
+    ix, iy = _cells(east, north, grid_size)
     lat, lon = unproject(origin, east, north)
     n = d3d.size
-    return BinTable(np.floor(east / grid_size).astype(np.int64),
-                    np.floor(north / grid_size).astype(np.int64),
-                    east, north, np.zeros(n), np.full(n, np.nan), np.ones(n, dtype=np.int64),
-                    pl, d2d, d3d, lat, lon, np.full(n, los), np.full(n, band),
-                    grid_size=grid_size)
+    return BinTable(ix, iy, east, north, np.zeros(n), np.full(n, np.nan),
+                    np.ones(n, dtype=np.int64), pl, d2d, d3d, lat, lon, np.full(n, los),
+                    np.full(n, band), grid_size=grid_size)
 
 
 def synthesize_samples(
@@ -724,19 +730,17 @@ def _read_bin_rows(cells: list[str], checks: RowChecks, grid_size: float) -> lis
     has_pos = np.flatnonzero(np.fromiter(map(bool, lat_s), bool, len(lat_s)))
     pick = has_pos.tolist()
     lat, lon = (checks.parse(float, [c[k] for k in pick], has_pos) for c in (lat_s, lon_s))
-    lat_a, lon_a = np.array(lat, dtype=float), np.array(lon, dtype=float)
-    checks.check(~((lat_a >= -90.0) & (lat_a <= 90.0)),
-                 lambda k: f"latitude {lat[k]!r} outside [-90, 90]", has_pos)
-    checks.check(~((lon_a >= -180.0) & (lon_a <= 180.0)),
-                 lambda k: f"longitude {lon[k]!r} outside [-180, 180]", has_pos)
+    _check_position(checks, has_pos, lat, lon)
     d2d, d3d, pl = (np.array(checks.parse(float, c), dtype=float) for c in (d2d_s, d3d_s, pl_s))
     checks.check(
         ~(np.isfinite(pl) & (0.0 < d2d) & (d2d <= d3d) & (d3d < math.inf)),
         lambda k: ("need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
                    f"got pl_db={pl_s[k]}, d2d_m={d2d_s[k]}, d3d_m={d3d_s[k]}"))
     ix, iy = (int_array(checks.parse(int, c)) for c in (ix_s, iy_s))
-    if grid_size <= 0:  # what GridIndex checks
-        checks.fail(0, "grid_size must be > 0")
+    try:
+        check_grid_size(grid_size)  # what GridIndex checks
+    except ValueError as exc:
+        checks.fail(0, str(exc))
     count = int_array(checks.parse(int, count_s))
     checks.check(~(pl > 0), lambda k: f"path loss must be positive, got {pl[k].item()}")
     checks.check(~(count >= 1), lambda k: "sample_count must be >= 1")
@@ -744,7 +748,7 @@ def _read_bin_rows(cells: list[str], checks: RowChecks, grid_size: float) -> lis
     checks.check(~np.fromiter(map(LOS_LABELS.__contains__, los), bool, len(los)),
                  lambda k: f"los must be one of {LOS_LABELS}")
     full_lat, full_lon = np.full(len(ix), np.nan), np.full(len(ix), np.nan)
-    full_lat[has_pos], full_lon[has_pos] = lat_a, lon_a
+    full_lat[has_pos], full_lon[has_pos] = lat, lon
     nan = np.full(len(ix), np.nan)
     return [ix, iy, nan, nan, nan, nan, count, pl, d2d, d3d, full_lat, full_lon,
             np.array(los, dtype=str), np.array(band, dtype=str)]

@@ -30,6 +30,8 @@ CONFIG_KEYS = (
 
 def _load_config(path) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -294,12 +296,11 @@ def cmd_compare(args) -> int:
     sweep = np.geomspace(links.d2d_m.min(), links.d2d_m.max(), args.curve_points)
     sweep[-1] = links.d2d_m.max()
     curves_path = out_dir / "model_curves.csv"
-    with open(curves_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("model,d2d_m,pl_db\n")
-        for mid in model_ids:
-            series = models.predict_series(mid, template, sweep)
-            for d, pl in zip(series.distances_m, series.path_loss_db):
-                fh.write(f"{series.model_id},{repr(d)},{repr(pl)}\n")
+    series = [models.predict_series(mid, template, sweep) for mid in model_ids]
+    write_csv(curves_path, ["model", "d2d_m", "pl_db"],
+              [np.repeat([s.model_id for s in series], sweep.size),
+               np.concatenate([s.distances_m for s in series]),
+               np.concatenate([s.path_loss_db for s in series])])
 
     for entry in stats:
         print(f"{entry['model']:<18} mu_e={entry['mu_e']:+7.2f} "

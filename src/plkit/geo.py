@@ -55,6 +55,12 @@ class LocalPoint:
             raise ValueError("local coordinates must be finite")
 
 
+def check_grid_size(grid_size: float) -> None:
+    """The one grid-size rule: finite and > 0 (NaN and inf are refused)."""
+    if not 0.0 < grid_size < math.inf:
+        raise ValueError(f"grid_size must be finite and > 0, got {grid_size!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class GridIndex:
     """Index of one square grid cell (ix eastward, iy northward)."""
@@ -64,8 +70,7 @@ class GridIndex:
     grid_size: float = 5.0
 
     def __post_init__(self):
-        if self.grid_size <= 0:
-            raise ValueError("grid_size must be > 0")
+        check_grid_size(self.grid_size)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -224,8 +229,7 @@ def link_angles(de, dn, dz):
 
 def bin_index(p: LocalPoint, grid_size: float = 5.0) -> GridIndex:
     """Square-grid cell containing a local point (floor convention)."""
-    if grid_size <= 0:
-        raise ValueError("grid_size must be > 0")
+    check_grid_size(grid_size)
     return GridIndex(math.floor(p.east / grid_size), math.floor(p.north / grid_size), grid_size)
 
 
@@ -279,6 +283,12 @@ def point_in_polygon(p: GeodeticPoint, poly: Polygon) -> bool:
     return point_in_ring(lp.east, lp.north, ring)
 
 
+def _is_position(p) -> bool:
+    """A GeoJSON position: a list of at least two numbers (not booleans)."""
+    return isinstance(p, list) and len(p) >= 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
+
+
 def load_polygons(path) -> list[Polygon]:
     """Read LOS/NLOS polygons from a GeoJSON FeatureCollection.
 
@@ -287,11 +297,19 @@ def load_polygons(path) -> list[Polygon]:
     property ``los`` selects the label (missing defaults to LOS).
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if data.get("type") != "FeatureCollection":
+    if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
         raise ValueError("polygon file must be a GeoJSON FeatureCollection")
+    features = data.get("features", [])
+    if not isinstance(features, list):
+        raise ValueError("polygon file: 'features' must be a list")
     polygons = []
-    for i, feature in enumerate(data.get("features", [])):
+    for i, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise ValueError(f"feature {i}: must be a GeoJSON Feature object")
         geom = feature.get("geometry") or {}
+        properties = feature.get("properties") or {}
+        if not (isinstance(geom, dict) and isinstance(properties, dict)):
+            raise ValueError(f"feature {i}: geometry and properties must be objects")
         if geom.get("type") == "MultiPolygon":
             raise ValueError(f"feature {i}: MultiPolygon is not supported; "
                              "split it into Polygon features")
@@ -300,13 +318,15 @@ def load_polygons(path) -> list[Polygon]:
         rings = geom.get("coordinates") or []
         if not rings:
             raise ValueError(f"feature {i}: polygon has no rings")
-        if len(rings) > 1:
+        if isinstance(rings, list) and len(rings) > 1:
             raise ValueError(f"feature {i}: interior rings (holes) are not supported")
-        outer = rings[0]
+        outer = rings[0] if isinstance(rings, list) else None
+        if not isinstance(outer, list) or not all(map(_is_position, outer)):
+            raise ValueError(f"feature {i}: coordinates must be one ring of [lon, lat] numbers")
         # GeoJSON rings repeat the first coordinate at the end
         if len(outer) >= 2 and outer[0] == outer[-1]:
             outer = outer[:-1]
         vertices = tuple(GeodeticPoint(lat, lon) for lon, lat, *_ in outer)
-        los = feature.get("properties", {}).get("los", True)
+        los = properties.get("los", True)
         polygons.append(Polygon(vertices, "LOS" if los else "NLOS"))
     return polygons

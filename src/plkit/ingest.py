@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -316,25 +317,40 @@ _SITE_REQUIRED = [
 
 
 def load_site_config(path) -> SiteConfig:
-    """Load and validate a site-config JSON document."""
+    """Load and validate a site-config JSON document: every numeric field
+    must convert to a finite float, and the pattern reference is a string."""
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: site config must be a JSON object")
     for key in _SITE_REQUIRED:
         if key not in data:
             raise ValueError(f"{path}: site config missing field {key!r}")
+    if not isinstance(data["pattern"], str):
+        raise ValueError(f"{path}: site config field 'pattern' must be a string")
+
+    def number(key, default=None):
+        value = data.get(key, default)
+        try:
+            result = float(value)
+        except (TypeError, ValueError, OverflowError):
+            result = math.nan
+        if not math.isfinite(result):
+            raise ValueError(f"{path}: site config field {key!r} must be a finite number, "
+                             f"got {value!r}")
+        return result
+
     return SiteConfig(
         site_position=GeodeticPoint(
-            float(data["latitude"]), float(data["longitude"]),
-            float(data.get("altitude_agl_m", 0.0)),
-        ),
-        antenna_height_agl_m=float(data["antenna_height_agl_m"]),
-        boresight_azimuth_deg=float(data["boresight_azimuth_deg"]),
-        tx_power_dbm=float(data["tx_power_dbm"]),
-        carrier_freq_ghz=float(data["carrier_freq_ghz"]),
-        pattern_ref=str(data["pattern"]),
-        rx_gain_dbi=float(data["rx_gain_dbi"]),
-        ue_height_m=float(data["ue_height_m"]),
-        feeder_loss_db=float(data.get("feeder_loss_db", 0.0)),
+            number("latitude"), number("longitude"), number("altitude_agl_m", 0.0)),
+        antenna_height_agl_m=number("antenna_height_agl_m"),
+        boresight_azimuth_deg=number("boresight_azimuth_deg"),
+        tx_power_dbm=number("tx_power_dbm"),
+        carrier_freq_ghz=number("carrier_freq_ghz"),
+        pattern_ref=data["pattern"],
+        rx_gain_dbi=number("rx_gain_dbi"),
+        ue_height_m=number("ue_height_m"),
+        feeder_loss_db=number("feeder_loss_db", 0.0),
     )
 
 
@@ -447,10 +463,19 @@ def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"{manifest_path}: session {i} must be an object")
+        where = f"{manifest_path}: building {entry.get('building_id', '?')}"
         for key in ("building_id", "indoor_log", "outdoor_log"):
             if key not in entry:
-                raise ValueError(f"{manifest_path}: building {entry.get('building_id', '?')}: "
-                                 f"missing {key!r}")
+                raise ValueError(f"{where}: missing {key!r}")
+            if key != "building_id" and not isinstance(entry[key], str):
+                raise ValueError(f"{where}: {key!r} must be a path string, got {entry[key]!r}")
+        floor = entry.get("floor", 0)
+        try:  # an int, an integral float or a string int() reads, such as "2"
+            whole = not isinstance(floor, bool) and int(floor) == float(floor)
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"{where}: floor must be an integer, got {floor!r}")
     return [
         IndoorSession(
             building_id=str(entry["building_id"]),

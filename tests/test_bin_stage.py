@@ -31,6 +31,7 @@ from plkit.cli import main
 from plkit.geo import (
     GeodeticPoint,
     LocalPoint,
+    Polygon,
     from_local,
     load_polygons,
     point_in_ring,
@@ -79,28 +80,44 @@ def test_table_and_object_paths_agree():
     origin = site.site_position
     table = analysis.aggregate_bins(analysis.SampleTable.from_samples(samples), origin)
     aggregates = analysis.aggregate_bins(samples, origin)
-    assert isinstance(table, analysis.BinTable) and len(table) == len(aggregates)
-    assert table.ix.tolist() == [a.index.ix for a in aggregates]
-    assert table.east.tolist() == [a.centroid.east for a in aggregates]
-    assert table.rx_dbm.tolist() == [a.median_rx_power_dbm for a in aggregates]
-    assert table.count.tolist() == [a.sample_count for a in aggregates]
+    assert isinstance(table, analysis.BinTable)
+    assert all(isinstance(a, analysis.BinAggregate) for a in aggregates)
+    assert analysis.BinTable.from_records(aggregates) == table
 
     pattern = load_pattern_csv(GOLDEN / site.pattern_ref,
                                boresight_azimuth=site.boresight_azimuth_deg)
     polygons = load_polygons(GOLDEN / "los.geojson")
+    mask = load_polygons(GOLDEN / "mask.geojson")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         table = analysis.extract_path_loss(table, site, pattern, band="3.5GHz")
         objects = analysis.extract_path_loss(aggregates, site, pattern, band="3.5GHz")
+    assert objects == list(table)
     table = analysis.classify_los(table, polygons, origin)
     objects = analysis.classify_los(objects, polygons, origin)
-    assert table.pl_db.tolist() == [b.path_loss_db for b in objects]
-    assert table.d3d_m.tolist() == [b.distance_3d_m for b in objects]
-    assert table.lat.tolist() == [b.position.latitude for b in objects]
-    assert table.los.tolist() == [b.los for b in objects]
+    assert objects == list(table)
     # the cells of the sample on the polygon edge and of the one on its vertex
     labels = dict(zip(zip(table.ix.tolist(), table.iy.tolist()), table.los.tolist()))
     assert labels[(30, 20)] == "LOS" and labels[(40, 39)] == "LOS"
+    masked = analysis.apply_exclusion_mask(table, mask, origin)
+    assert 0 < len(masked) < len(table)
+    assert analysis.apply_exclusion_mask(objects, mask, origin) == list(masked)
+
+
+def test_tables_and_records_without_centroids_are_refused_alike():
+    table = analysis.read_bins_csv(GOLDEN / "bins.csv")
+    assert np.isnan(table.east).all()
+    origin = load_site_config(GOLDEN / "site.json").site_position
+    # a square 0.2 deg around the site covers every bin of the table
+    lat, lon = origin.latitude, origin.longitude
+    cover = [Polygon(tuple(GeodeticPoint(lat + a, lon + b) for a, b in
+                           ((-0.1, -0.1), (-0.1, 0.1), (0.1, 0.1), (0.1, -0.1))))]
+    assert (np.abs(table.lat - lat) < 0.1).all() and (np.abs(table.lon - lon) < 0.1).all()
+    for bins in (table, list(table)):
+        with pytest.raises(ValueError, match="bins must carry centroids for LOS classification"):
+            analysis.classify_los(bins, cover, origin)
+        with pytest.raises(ValueError, match="bins must carry centroids for exclusion masking"):
+            analysis.apply_exclusion_mask(bins, cover, origin)
 
 
 # -- ring containment --------------------------------------------------------

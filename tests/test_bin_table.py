@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plkit import analysis, ingest, models
 from plkit.analysis import (
@@ -25,7 +27,7 @@ from plkit.analysis import (
 )
 from plkit.antenna import isotropic, load_pattern_csv, save_pattern_csv
 from plkit.cli import main
-from plkit.geo import load_polygons
+from plkit.geo import GeodeticPoint, load_polygons, unproject
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -117,6 +119,62 @@ class TestConsumersOnTables:
         b.write_text(",".join(analysis.BIN_FIELDS) + "\n" + row.format(2))
         assert run(["offset", a, b, "--out", tmp_path / "o.json"]) == 2
         assert "share no grid cells" in capsys.readouterr().err
+
+
+@st.composite
+def bin_tables(draw):
+    """A BinTable as the program makes them: each row has a whole centroid
+    or none, and a whole position or none; a median power or none."""
+    n = draw(st.integers(0, 8))
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+    def maybe(values, present):
+        return np.where(present, values, np.nan)
+    has_centroid, has_rx, has_pos = (
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        for _ in range(3))
+    ints = st.integers(-10**6, 10**6)
+    ix, iy = (np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+              for _ in range(2))
+    east, north, up = (maybe(column(st.floats(-5e3, 5e3)), has_centroid) for _ in range(3))
+    lat, lon = (maybe(column(st.floats(-lim, lim)), has_pos) for lim in (90.0, 180.0))
+    return BinTable(
+        ix, iy, east, north, up, maybe(column(st.floats(-160.0, 0.0)), has_rx),
+        np.array(draw(st.lists(st.integers(1, 99), min_size=n, max_size=n)), dtype=np.int64),
+        column(st.floats(1e-3, 300.0)), column(st.floats(1.0, 1e4)), column(st.floats(1.0, 1e4)),
+        lat, lon, np.array(draw(st.lists(st.sampled_from(analysis.LOS_LABELS), min_size=n,
+                                         max_size=n)), dtype=str),
+        np.array(draw(st.lists(st.sampled_from(["", "3.5GHz", "800MHz"]), min_size=n,
+                               max_size=n)), dtype=str),
+        grid_size=draw(st.sampled_from([5.0, 2.5, 10.0])))
+
+
+class TestRecords:
+    """Lists of records convert to a table once and back, column for column."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bin_tables())
+    def test_grid_bins_round_trip(self, table):
+        again = BinTable.from_records(list(table))
+        # an empty list carries no grid size and takes the default
+        assert again == (table if len(table) else replace(table, grid_size=5.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0),
+                              st.floats(-160.0, 0.0)), min_size=1, max_size=30),
+           st.sampled_from([5.0, 2.5, 10.0]))
+    def test_bin_aggregates_round_trip(self, points, grid_size):
+        origin = GeodeticPoint(47.0, 8.0)
+        east, north, rx = (np.array(c) for c in zip(*points))
+        lat, lon = unproject(origin, east, north)
+        n = len(points)
+        samples = ingest.SampleTable(
+            np.arange(1, n + 1), lat, lon, np.zeros(n), rx, np.full(n, "3.5GHz"),
+            np.full(n, "TESTBED"), np.full(n, None, dtype=object), np.full(n, None, dtype=object))
+        table = analysis.aggregate_bins(samples, origin, grid_size)
+        aggregates = analysis.aggregate_bins(list(samples), origin, grid_size)
+        assert all(isinstance(a, analysis.BinAggregate) for a in aggregates)
+        assert BinTable.from_records(aggregates) == table
 
 
 class TestParseResult:
