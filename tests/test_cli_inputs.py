@@ -104,6 +104,18 @@ class TestO2iManifestShape:
         ({"sessions": ["in.csv"]}, "session 0 must be an object"),
         ({"sessions": [{"building_id": "1", "indoor_log": "in.csv", "outdoor_log": "out.csv"},
                        7]}, "session 1 must be an object"),
+        *(({"sessions": [{"building_id": "A", "floor": 0, "indoor_log": "in.csv",
+                          "outdoor_log": "out.csv", **session}]}, message)
+          for session, message in [
+              ({"floor": None}, "building A: floor must be an integer, got None"),
+              ({"floor": [1]}, "building A: floor must be an integer, got [1]"),
+              ({"floor": 1.7}, "building A: floor must be an integer, got 1.7"),
+              ({"floor": "1.5"}, "building A: floor must be an integer, got '1.5'"),
+              ({"floor": True}, "building A: floor must be an integer, got True"),
+              ({"indoor_log": 3}, "building A: 'indoor_log' must be a path string, got 3"),
+              ({"outdoor_log": None},
+               "building A: 'outdoor_log' must be a path string, got None"),
+          ]),
     ])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "o2i.json"
@@ -268,37 +280,16 @@ class TestJsonInputs:
                       "config must be a JSON object")
 
 
-def o2i_manifest(tmp_path, **session):
-    """A one-session o2i manifest on the golden logs of building A, floor 0,
-    with ``session`` overriding its entries."""
-    entry = {"building_id": "A", "floor": 0,
-             "indoor_log": str(GOLDEN / "o2i" / "indoor_A_f0.csv"),
-             "outdoor_log": str(GOLDEN / "o2i" / "outdoor_A_f0.csv")}
-    entry.update(session)
-    path = tmp_path / "o2i.json"
-    path.write_text(json.dumps({"sessions": [entry]}))
-    return path
-
-
-class TestO2iSessionFields:
-    @pytest.mark.parametrize("session, message", [
-        ({"floor": None}, "building A: floor must be an integer, got None"),
-        ({"floor": [1]}, "building A: floor must be an integer, got [1]"),
-        ({"floor": 1.7}, "building A: floor must be an integer, got 1.7"),
-        ({"floor": "1.5"}, "building A: floor must be an integer, got '1.5'"),
-        ({"floor": True}, "building A: floor must be an integer, got True"),
-        ({"indoor_log": 3}, "building A: 'indoor_log' must be a path string, got 3"),
-        ({"outdoor_log": None}, "building A: 'outdoor_log' must be a path string, got None"),
-    ])
-    def test_bad_session_exits_2_naming_the_building(self, tmp_path, capsys, session, message):
-        out = tmp_path / "cdfs"
-        assert_exit_2(["o2i", o2i_manifest(tmp_path, **session), "--out", out], capsys, out,
-                      message)
-
+class TestO2iFloors:
     @pytest.mark.parametrize("floor", ["2", 2, 2.0])
     def test_integral_floors_still_read(self, tmp_path, floor):
+        manifest = tmp_path / "o2i.json"
+        manifest.write_text(json.dumps({"sessions": [{
+            "building_id": "A", "floor": floor,
+            "indoor_log": str(GOLDEN / "o2i" / "indoor_A_f0.csv"),
+            "outdoor_log": str(GOLDEN / "o2i" / "outdoor_A_f0.csv")}]}))
         out = tmp_path / "cdfs"
-        assert run(["o2i", o2i_manifest(tmp_path, floor=floor), "--out", out]) == 0
+        assert run(["o2i", manifest, "--out", out]) == 0
         assert [p.name for p in out.iterdir()] == ["o2i_A_floor2.csv"]
         assert (out / "o2i_A_floor2.csv").read_bytes() == (
             GOLDEN / "o2i" / "o2i_A_floor0.csv").read_bytes()
