@@ -296,11 +296,13 @@ def cmd_compare(args) -> int:
     sweep = np.geomspace(links.d2d_m.min(), links.d2d_m.max(), args.curve_points)
     sweep[-1] = links.d2d_m.max()
     curves_path = out_dir / "model_curves.csv"
-    series = [models.predict_series(mid, template, sweep) for mid in model_ids]
+    names, losses = [], []
+    for mid in model_ids:  # one series at a time: each holds per-point warning lists
+        series = models.predict_series(mid, template, sweep)
+        names.append(series.model_id)
+        losses.append(np.array(series.path_loss_db))
     write_csv(curves_path, ["model", "d2d_m", "pl_db"],
-              [np.repeat([s.model_id for s in series], sweep.size),
-               np.concatenate([s.distances_m for s in series]),
-               np.concatenate([s.path_loss_db for s in series])])
+              [np.repeat(names, sweep.size), np.tile(sweep, len(names)), np.concatenate(losses)])
 
     for entry in stats:
         print(f"{entry['model']:<18} mu_e={entry['mu_e']:+7.2f} "
