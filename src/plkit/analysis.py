@@ -302,10 +302,12 @@ def _cells(east: np.ndarray, north: np.ndarray, grid_size: float) -> tuple[np.nd
     finite and > 0, and small enough sizes that an index leaves int64 are
     refused."""
     check_grid_size(grid_size)
-    ix, iy = np.floor(east / grid_size), np.floor(north / grid_size)
-    if not ((np.abs(ix) < 2.0**63).all() and (np.abs(iy) < 2.0**63).all()):
+    reach = max(-east.min(initial=0.0), east.max(initial=0.0),
+                -north.min(initial=0.0), north.max(initial=0.0))
+    if not reach / grid_size < 2.0**63:
         raise ValueError(f"grid_size {grid_size!r} is too small: cell indices overflow int64")
-    return ix.astype(np.int64), iy.astype(np.int64)
+    return (np.floor(east / grid_size).astype(np.int64),
+            np.floor(north / grid_size).astype(np.int64))
 
 
 def _aggregate(samples: SampleTable, origin: GeodeticPoint, grid_size: float) -> BinTable:

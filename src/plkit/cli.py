@@ -301,8 +301,10 @@ def cmd_compare(args) -> int:
         series = models.predict_series(mid, template, sweep)
         names.append(series.model_id)
         losses.append(np.array(series.path_loss_db))
+    # an object column of names, not a fixed-width string array 4x its size
     write_csv(curves_path, ["model", "d2d_m", "pl_db"],
-              [np.repeat(names, sweep.size), np.tile(sweep, len(names)), np.concatenate(losses)])
+              [np.repeat(np.array(names, dtype=object), sweep.size), np.tile(sweep, len(names)),
+               np.concatenate(losses)])
 
     for entry in stats:
         print(f"{entry['model']:<18} mu_e={entry['mu_e']:+7.2f} "
