@@ -768,9 +768,9 @@ def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:
         if header is None or [h.strip() for h in header] != BIN_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(BIN_FIELDS)}")
         chunks = []
-        for cells, checks in read_chunks(fh, len(BIN_FIELDS), lambda row: "wrong field count"):
-            chunks.append(_read_bin_rows(cells, checks, grid_size))
-            checks.raise_first(f"{path}: ")
+        for chunk in read_chunks(fh, len(BIN_FIELDS), lambda row: "wrong field count"):
+            chunks.append(_read_bin_rows(chunk.cells, chunk.checks, grid_size))
+            chunk.checks.raise_first(f"{path}: ")
     if not chunks:
         chunks = [_read_bin_rows([], RowChecks([]), grid_size)]
     return BinTable(*(np.concatenate(c) for c in zip(*chunks)), grid_size=grid_size)

@@ -242,10 +242,10 @@ def load_pattern_csv(
         if header is None or [h.strip() for h in header] != PATTERN_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(PATTERN_FIELDS)}")
         columns, lines = [], []
-        for cells, checks in read_chunks(fh, 3, lambda row: "expected 3 fields"):
-            columns.append([checks.parse(float, cells[j::3]) for j in range(3)])
-            checks.raise_first(f"{path}: ")
-            lines.extend(checks.lines)
+        for chunk in read_chunks(fh, 3, lambda row: "expected 3 fields"):
+            columns.append([chunk.checks.parse(float, chunk.cells[j::3]) for j in range(3)])
+            chunk.checks.raise_first(f"{path}: ")
+            lines.extend(chunk.checks.lines)
     if not lines:
         raise ValueError(f"{path}: empty pattern file")
     azimuth, elevation, gain_dbi = (np.concatenate(c) for c in zip(*columns))

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,10 +23,14 @@ from . import analysis, antenna, ingest, models
 from .columns import write_csv
 from .geo import GeodeticPoint, load_polygons
 
-CONFIG_KEYS = (
-    "site", "pattern", "polygons", "exclusion_mask", "grid_size", "d0",
-    "min_d", "max_d", "models", "output_dir", "seed",
-)
+_PATH, _NUMBER = ("a path string", str), ("a number", (int, float))
+# key: (what its value must be, the JSON types it may take)
+CONFIG_KEYS = {
+    "site": _PATH, "pattern": _PATH, "polygons": _PATH, "exclusion_mask": _PATH,
+    "grid_size": _NUMBER, "d0": _NUMBER, "min_d": _NUMBER, "max_d": _NUMBER,
+    "models": ("a string or a list of strings", (str, list)), "output_dir": _PATH,
+    "seed": ("an integer", int),
+}
 
 
 def _load_config(path) -> dict:
@@ -35,6 +40,11 @@ def _load_config(path) -> dict:
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in data.items():
+        kind, types = CONFIG_KEYS[key]
+        if isinstance(value, bool) or not isinstance(value, types) or (
+                isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+            raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
     return data
 
 
@@ -343,18 +353,25 @@ def cmd_o2i(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The plkit argument parser. Every command is listed with its help;
+    given a command name, only that command's arguments are built."""
     parser = argparse.ArgumentParser(
         prog="plkit",
         description="Path-loss model evaluation and drive-test analysis pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", help="JSON config file; explicit flags win")
+    def add(name, func, summary, config=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if command not in (None, name):  # another command runs: drop these arguments unbuilt
+            return SimpleNamespace(add_argument=lambda *args, **kwargs: None)
+        if config:
+            p.add_argument("--config", help="JSON config file; explicit flags win")
+        return p
 
-    p = sub.add_parser("synth", help="generate synthetic bins or a synthetic testbed log")
-    add_config(p)
+    p = add("synth", cmd_synth, "generate synthetic bins or a synthetic testbed log")
     p.add_argument("--emit", choices=["bins", "log"], default="bins")
     p.add_argument("--out", required=True,
                    help="bin CSV path (emit=bins) or output directory (emit=log)")
@@ -381,10 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lon", type=float, default=8.0)
     p.add_argument("--tx-power", dest="tx_power", type=float, default=43.0)
     p.add_argument("--rx-gain", dest="rx_gain", type=float, default=4.0)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("bin", help="parse logs and write the binned path-loss table")
-    add_config(p)
+    p = add("bin", cmd_bin, "parse logs and write the binned path-loss table")
     p.add_argument("logs", nargs="+", help="measurement log CSV files")
     p.add_argument("--site", default=None, help="site config JSON")
     p.add_argument("--pattern", default=None,
@@ -397,10 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", default=None)
     p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bin)
 
-    p = sub.add_parser("fit", help="log-distance regression on a bin table")
-    add_config(p)
+    p = add("fit", cmd_fit, "log-distance regression on a bin table")
     p.add_argument("bins", help="bin table CSV")
     p.add_argument("--d0", type=float, default=None)
     p.add_argument("--min-d", dest="min_d", type=float, default=None)
@@ -411,10 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fix the intercept instead of estimating it")
     p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("compare", help="model error statistics and plot curves")
-    add_config(p)
+    p = add("compare", cmd_compare, "model error statistics and plot curves")
     p.add_argument("bins", help="bin table CSV")
     p.add_argument("--models", default=None,
                    help="comma-separated model ids (default: whole catalog)")
@@ -428,31 +439,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
     p.add_argument("--out", default=None,
                    help="output directory (default: the config's output_dir)")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("offset", help="band-to-band path-loss offset on shared bins")
-    add_config(p)
+    p = add("offset", cmd_offset, "band-to-band path-loss offset on shared bins")
     p.add_argument("bins_high", help="bin table of the higher band")
     p.add_argument("bins_low", help="bin table of the lower band")
     p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_offset)
 
-    p = sub.add_parser("o2i", help="outdoor-to-indoor penetration CDFs")
-    add_config(p)
+    p = add("o2i", cmd_o2i, "outdoor-to-indoor penetration CDFs")
     p.add_argument("manifest", help="indoor session manifest JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_o2i)
 
-    p = sub.add_parser("models", help="dump the model catalog")
+    p = add("models", cmd_models, "dump the model catalog", config=False)
     p.add_argument("--out", default=None, help="write JSON here instead of printing")
-    p.set_defaults(func=cmd_models)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # only the command's own arguments are built (an option first: all of them)
+    parser = build_parser(argv[0] if argv and not argv[0].startswith("-") else None)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:

@@ -1,14 +1,18 @@
 """CSV rows to checked numpy columns, and numpy columns to CSV lines.
 
 The readers (logs, bin tables, antenna patterns, sample files) read the
-lines after the header in chunks of at most ``CHUNK_ROWS``. A chunk that
-``csv.reader`` would split at every comma (no quote, carriage return or NUL,
-every line ending in a newline with exactly one comma fewer than the row has
-fields, and no line longer than ``csv.field_size_limit()``) is split with
-``str.split``; from the first chunk that is not, the rest of the file goes
-through ``csv.reader``. Each column of a chunk is converted with one ``map``
-of ``int``/``float`` and checked as a whole. A reader must still reject a
-bad file the way a row-by-row pass would: at the first offending line, with
+lines after the header in chunks of at most ``CHUNK_ROWS``. One rule,
+checked with numpy on a chunk's bytes, says whether ``csv.reader`` would
+split it at every comma (no quote, carriage return or NUL, a newline
+ending every line, one comma fewer than the row has fields on each, no
+line longer than ``csv.field_size_limit()``) and yields each cell's
+offsets. A :class:`Chunk` that is also ASCII with no byte <= 32 but its
+newlines reads cells at their offsets, so the log parsers convert only the
+cells they keep; any other clean chunk is split with ``str.split``. From
+the first chunk that is not clean, the rest of the file goes through
+``csv.reader``. Each column of a chunk is converted with one ``map`` of
+``int``/``float`` and checked as a whole. A reader must still reject a bad
+file the way a row-by-row pass would: at the first offending line, with
 the message of the first check that line fails. :class:`RowChecks` gives
 that answer when the conversions and checks of a chunk are made in the
 order a row-by-row pass makes them, and a reader stops at the first chunk
@@ -81,11 +85,92 @@ class RowChecks:
             raise ValueError(f"{prefix}line {self.lines[self.n]}: {self.error}")
 
 
-def read_chunks(
-    fh, width: int, field_error: Callable[[list], str]
-) -> Iterator[tuple[list[str], RowChecks]]:
+class Chunk:
+    """The ``rows`` of one chunk, ``width`` cells each, with their ``checks``:
+    the text, bytes and cell offsets of an indexed chunk (its ``cells`` are
+    split when first asked for), or else the ``cells``."""
+
+    def __init__(self, width: int, checks: RowChecks, cells: Optional[list[str]] = None,
+                 text: Optional[str] = None, offsets=None):
+        self.width, self.checks = width, checks
+        self._cells, self._text, self._offsets = cells, text, offsets
+        self.rows = (offsets[1].size if offsets else len(self.cells)) // width
+
+    @property
+    def cells(self) -> list[str]:
+        """Every cell, row after row."""
+        if self._cells is None:
+            self._cells = self._text[:-1].replace("\n", ",").split(",")
+        return self._cells
+
+    def take(self, index: np.ndarray, strip: bool = False) -> list[str]:
+        """The cells at ``index.ravel()`` (row * width + column), stripped if
+        asked (an indexed chunk holds no whitespace)."""
+        index = index.ravel()
+        if self._offsets is None:
+            cells = list(map(self.cells.__getitem__, index.tolist()))
+            return list(map(str.strip, cells)) if strip else cells
+        data, ends = self._offsets
+        if not index.size:
+            return []
+        # the positions of the cells' bytes, each cell with its separator: a
+        # step of 1 within a cell, a jump to the next cell's start between
+        starts = np.where(index > 0, ends[index - 1], -1) + 1
+        last = np.cumsum(ends[index] + 1 - starts)
+        at = np.ones(last[-1], np.int64)
+        at[0], at[last[:-1]] = starts[0], starts[1:] - ends[index[:-1]]
+        return data[np.cumsum(at, out=at)].tobytes().decode().replace("\n", ",").split(",")[:-1]
+
+    def filled(self) -> np.ndarray:
+        """(rows, width) mask of the cells with more than whitespace."""
+        if self._offsets is None:
+            return np.array([bool(c.strip()) for c in self.cells], bool).reshape(-1, self.width)
+        sep = (self._offsets[0] == 44) | (self._offsets[0] == 10)
+        after = np.empty_like(sep)  # whether the byte before is a separator
+        after[0], after[1:] = True, sep[:-1]
+        return ~after[sep].reshape(-1, self.width)
+
+    def ints(self, j: int) -> list[int]:
+        """``int`` of each cell of column ``j``, as ``checks.parse`` gives it;
+        the cells of 1 to 18 ASCII digits of an indexed chunk are converted
+        (exactly) by numpy."""
+        exact, value = np.zeros(self.rows, bool), np.zeros(self.rows, np.int64)
+        if self._offsets is not None:
+            data, ends = self._offsets
+            index = np.arange(j, self.rows * self.width, self.width)
+            starts, ends = np.where(index > 0, ends[index - 1], -1) + 1, ends[index]
+            at = ends[:, None] - np.arange(min(int((ends - starts).max()), 18), 0, -1)
+            digit = np.where(at >= starts[:, None], data[np.maximum(at, 0)] - 48, 0)
+            exact = (ends - starts >= 1) & (ends - starts <= 18) & (digit <= 9).all(axis=1)
+            value = digit.astype(np.int64) @ 10 ** np.arange(at.shape[1] - 1, -1, -1)
+        cells, odd = value.tolist(), np.flatnonzero(~exact)
+        for k, v in zip(odd.tolist(), self.checks.parse(int, self.take(odd * self.width + j), odd)):
+            cells[k] = v
+        return cells
+
+
+def _cell_offsets(text: str, rows: int, width: int, limit: int):
+    """The clean-chunk rule on ``rows`` lines: None if ``csv.reader`` must
+    read them, else their bytes and the offset of the separator after each
+    cell, or () where these cannot index ``text``."""
+    # surrogatepass: a stream of str may hold lone surrogates, which are not ASCII either
+    data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    ends = np.flatnonzero(data <= 44)  # separators, spaces, quotes, control bytes, !#$%&'()*+
+    byte = data[ends]
+    other = byte[(byte != 44) & (byte != 10)]
+    if other.size:
+        if ((other == 34) | (other == 13) | (other == 0)).any():
+            return None
+        ends = ends[(byte == 44) | (byte == 10)]
+    if (data[-1] != 10 or ends.size != rows * width or (data[ends[width - 1::width]] != 10).any()
+            or np.diff(ends[width - 1::width], prepend=-1).max() > limit + 1):
+        return None
+    return (data, ends) if text.isascii() and not (other <= 32).any() else ()
+
+
+def read_chunks(fh, width: int, field_error: Callable[[list], str]) -> Iterator[Chunk]:
     """Rows of ``fh``, a file (or stream) already past its header line, as
-    (cells of the chunk row after row, checks).
+    :class:`Chunk` objects.
 
     Blank rows are dropped but counted in the line numbers (line 2 is the
     first row after the header; a row is a line until ``csv.reader`` takes
@@ -99,13 +184,13 @@ def read_chunks(
         if not batch:
             return
         text = "".join(batch)
-        if not (text.endswith("\n") and '"' not in text and "\r" not in text
-                and "\0" not in text and max(map(len, batch)) <= limit
-                and set(map(str.count, batch, itertools.repeat(","))) == {width - 1}):
+        offsets = _cell_offsets(text, len(batch), width, limit)
+        if offsets is None:
             yield from _csv_chunks(csv.reader(itertools.chain(batch, fh)), line, width,
                                    field_error)
             return
-        yield text[:-1].replace("\n", ",").split(","), RowChecks(range(line, line + len(batch)))
+        yield Chunk(width, RowChecks(range(line, line + len(batch))), text=text,
+                    offsets=offsets or None)
         line += len(batch)
 
 
@@ -120,7 +205,7 @@ def _csv_chunks(reader, line: int, width: int, field_error: Callable[[list], str
         line += len(batch)
         sizes = set(map(len, batch))
         if sizes == {width}:
-            yield list(itertools.chain.from_iterable(batch)), RowChecks(lines)
+            yield Chunk(width, RowChecks(lines), list(itertools.chain.from_iterable(batch)))
             continue
         rows, kept = [], []
         for k, row in enumerate(batch):
@@ -128,12 +213,12 @@ def _csv_chunks(reader, line: int, width: int, field_error: Callable[[list], str
                 continue
             kept.append(lines[k])
             if len(row) != width:
-                yield list(itertools.chain.from_iterable(rows)), RowChecks(
-                    kept, len(rows), field_error(row))
+                yield Chunk(width, RowChecks(kept, len(rows), field_error(row)),
+                            list(itertools.chain.from_iterable(rows)))
                 return
             rows.append(row)
         if rows:
-            yield list(itertools.chain.from_iterable(rows)), RowChecks(kept)
+            yield Chunk(width, RowChecks(kept), list(itertools.chain.from_iterable(rows)))
 
 
 def int_array(values: Sequence[int]) -> np.ndarray:

@@ -248,21 +248,28 @@ def points_in_ring(x, y, ring) -> np.ndarray:
 
     ``ring`` is a sequence of (x, y) vertices without the closing repeat.
     Points on the boundary (within 1e-9 of an edge) count as inside. Each
-    edge is tested against all points at once.
+    edge is tested at once against the points in the ring's bounding box
+    widened by 1e-6; a point farther out is neither inside nor on the
+    boundary, and the crossings of its ray pair up.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     vertices = [(float(vx), float(vy)) for vx, vy in ring]
     if len(vertices) < 3:
         raise ValueError("ring needs at least 3 vertices")
-    on_boundary = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    lo, hi = np.min(vertices, axis=0) - 1e-6, np.max(vertices, axis=0) + 1e-6
+    # "not outside": where a vertex is NaN, so are the bounds, and every point is tested
+    near = ~((x < lo[0]) | (x > hi[0]) | (y < lo[1]) | (y > hi[1]))
+    x, y = x[near], y[near]
+    on_boundary = np.zeros(x.shape, dtype=bool)
     odd = np.zeros_like(on_boundary)
     for (x1, y1), (x2, y2) in zip(vertices[-1:] + vertices[:-1], vertices):
         on_boundary |= _on_segment(x, y, x1, y1, x2, y2)
         if y1 != y2:
             x_cross = (x1 - x2) * (y - y2) / (y1 - y2) + x2
             odd ^= ((y2 > y) != (y1 > y)) & (x < x_cross)
-    return on_boundary | odd
+    inside = np.zeros(near.shape, dtype=bool)
+    inside[near] = on_boundary | odd
+    return inside
 
 
 def point_in_ring(x: float, y: float, ring) -> bool:

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .columns import RowChecks, int_array, read_chunks, write_csv
+from .columns import Chunk, RowChecks, int_array, read_chunks, write_csv
 from .geo import GeodeticPoint
 
 SOURCES = ("TESTBED", "SCANNER")
@@ -144,7 +144,7 @@ def _sample_table(ts, lat, lon, rx, band: str, source: str, beam, cell) -> Sampl
                        np.full(n, source), beam, cell)
 
 
-def _strongest_beams(cells: list[str], width: int, checks: RowChecks):
+def _strongest_beams(chunk: Chunk):
     """Per row of a testbed chunk: whether any beam was received, the
     strongest power and the column of its beam (0 = first beam column).
 
@@ -153,16 +153,11 @@ def _strongest_beams(cells: list[str], width: int, checks: RowChecks):
     only if strictly greater, so ties go to the first column and a NaN
     in the first received cell is the result.
     """
-    n = len(cells) // width
-    filled = np.frombuffer(bytes(map(bool, cells)), dtype=bool).reshape(n, width)[:, 3:]
-    r, c = np.nonzero(filled)
-    texts = [cells[k].strip() for k in (r * width + 3 + c).tolist()]
-    heard = np.fromiter(map(bool, texts), bool, len(texts))  # whitespace-only is empty
-    r, c = r[heard], c[heard]
-    power = np.full(filled.shape, -np.inf)
-    power[r, c] = checks.parse(float, [t for t in texts if t], r)
-    received = np.zeros(filled.shape, dtype=bool)
-    received[r, c] = True
+    received = chunk.filled()[:, 3:]
+    n = len(received)
+    r, c = np.nonzero(received)
+    power = np.full(received.shape, -np.inf)
+    power[r, c] = chunk.checks.parse(float, chunk.take(r * chunk.width + 3 + c, strip=True), r)
     nan = np.isnan(power)
     power[nan] = -np.inf
     best = power.max(axis=1)
@@ -205,13 +200,14 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
 
         width = len(header)
         tables, rows, skipped = [], 0, 0
-        for cells, checks in read_chunks(
+        for chunk in read_chunks(
             fh, width, lambda row: f"expected {width} fields, got {len(row)}"
         ):
-            ts = checks.parse(int, cells[0::width])
-            lat = checks.parse(float, cells[1::width])
-            lon = checks.parse(float, cells[2::width])
-            heard, power, column = _strongest_beams(cells, width, checks)
+            checks = chunk.checks
+            position = chunk.take(np.arange(chunk.rows)[:, None] * width + np.arange(3))
+            ts, lat, lon = (checks.parse(kind, position[j::3])
+                            for j, kind in enumerate((int, float, float)))
+            heard, power, column = _strongest_beams(chunk)
             keep = np.flatnonzero(heard)
             pick = keep.tolist()
             ts, lat, lon = ([v[k] for k in pick] for v in (ts, lat, lon))
@@ -246,16 +242,16 @@ def parse_scanner_log(
             raise ValueError(f"scanner log must have header {','.join(SCANNER_HEADER)}")
         width = len(SCANNER_HEADER)
         tables, rows, filtered = [], 0, 0
-        for cells, checks in read_chunks(
-            fh, width, lambda row: f"expected {width} fields"
-        ):
-            cell = checks.parse(int, cells[3::width])
+        for chunk in read_chunks(fh, width, lambda row: f"expected {width} fields"):
+            checks = chunk.checks
+            cell = chunk.ints(3)  # the other cells of a filtered row are never read
             keep = np.flatnonzero(np.fromiter(map(wanted.__contains__, cell), bool, len(cell)))
             pick = keep.tolist()
-            ts, lat, lon = (checks.parse(kind, [cells[k * width + j] for k in pick], keep)
+            kept = chunk.take(keep[:, None] * width + np.arange(width))
+            ts, lat, lon = (checks.parse(kind, kept[j::width], keep)
                             for j, kind in enumerate((int, float, float)))
             _check_position(checks, keep, lat, lon)
-            power = checks.parse(float, [cells[k * width + 4] for k in pick], keep)
+            power = checks.parse(float, kept[4::width], keep)
             _check_sample(checks, keep, ts, power)
             checks.raise_first()
             rows += len(cell)
@@ -418,9 +414,9 @@ def read_samples_csv(path) -> SampleTable:
         if header is None or [h.strip() for h in header] != SAMPLE_FIELDS:
             raise ValueError(f"{path}: expected header {','.join(SAMPLE_FIELDS)}")
         tables = []
-        for cells, checks in read_chunks(fh, len(SAMPLE_FIELDS), lambda row: "wrong field count"):
-            tables.append(_read_sample_rows(cells, checks))
-            checks.raise_first(f"{path}: ")
+        for chunk in read_chunks(fh, len(SAMPLE_FIELDS), lambda row: "wrong field count"):
+            tables.append(_read_sample_rows(chunk.cells, chunk.checks))
+            chunk.checks.raise_first(f"{path}: ")
     return SampleTable.concat(tables)
 
 

@@ -17,7 +17,7 @@ extrapolate all the time); ``out_of_validity`` flags such links and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -524,7 +524,16 @@ class PredictionSeries:
     model_id: str
     distances_m: list[float]
     path_loss_db: list[float]
-    point_warnings: list[list[str]]
+    _links: LinkGeometry = field(repr=False, compare=False)
+
+    @property
+    def point_warnings(self) -> list[list[str]]:
+        """The validity messages of each point, formatted when read."""
+        warns: list[list[str]] = [[] for _ in self.distances_m]
+        for outside, fmt, v in _validity_rules(get_model(self.model_id), self._links):
+            for i in np.flatnonzero(outside):
+                warns[i].append(fmt.format(v[i]))
+        return warns
 
 
 def predict_series(model_id: str, template: LinkGeometry, distances_m) -> PredictionSeries:
@@ -541,12 +550,7 @@ def predict_series(model_id: str, template: LinkGeometry, distances_m) -> Predic
     if np.any(np.diff(d) < 0):
         raise ValueError("distances must be sorted ascending")
     g = template.with_distance(d)
-    values = info.evaluate(g)
-    warns: list[list[str]] = [[] for _ in range(d.size)]
-    for outside, fmt, v in _validity_rules(info, g):
-        for i in np.flatnonzero(outside):
-            warns[i].append(fmt.format(v[i]))
-    return PredictionSeries(info.model_id, d.tolist(), values.tolist(), warns)
+    return PredictionSeries(info.model_id, d.tolist(), info.evaluate(g).tolist(), g)
 
 
 def catalog_json() -> list[dict]:

@@ -1,9 +1,19 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from plkit.antenna import envelope, synthetic_aas_beamset
 from plkit.geo import GeodeticPoint
 from plkit.ingest import SiteConfig
+
+# The reader and ring properties take their example count from the loaded
+# profile; the other properties set their own. HYPOTHESIS_PROFILE=ci, as the
+# CI workflow sets it, runs them with four times the local examples.
+settings.register_profile("default", max_examples=120, deadline=None)
+settings.register_profile("ci", max_examples=480, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

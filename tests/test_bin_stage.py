@@ -33,6 +33,7 @@ from plkit.geo import (
     LocalPoint,
     Polygon,
     from_local,
+    hypot,
     load_polygons,
     point_in_ring,
     points_in_ring,
@@ -185,6 +186,71 @@ def test_points_in_ring_equals_per_point_tests(case):
 def test_point_in_ring_returns_a_bool():
     assert point_in_ring(0.5, 0.5, [(0, 0), (1, 0), (1, 1)]) is True
     assert point_in_ring(5.0, 0.5, [(0, 0), (1, 0), (1, 1)]) is False
+
+
+def _on_segment(x, y, x1, y1, x2, y2, eps=1e-9):
+    seg = math.hypot(x2 - x1, y2 - y1)
+    if seg == 0.0:
+        return hypot(x - x1, y - y1) <= eps
+    cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+    dot = (x - x1) * (x2 - x1) + (y - y1) * (y2 - y1)
+    return (abs(cross) / seg <= eps) & (-eps * seg <= dot) & (dot <= seg * seg + eps * seg)
+
+
+def per_edge_points_in_ring(x, y, ring):
+    """``points_in_ring`` as it was before it skipped the points outside the
+    ring's bounding box: every edge against every point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    vertices = [(float(vx), float(vy)) for vx, vy in ring]
+    on_boundary = np.zeros(np.broadcast(x, y).shape, dtype=bool)
+    odd = np.zeros_like(on_boundary)
+    for (x1, y1), (x2, y2) in zip(vertices[-1:] + vertices[:-1], vertices):
+        on_boundary |= _on_segment(x, y, x1, y1, x2, y2)
+        if y1 != y2:
+            x_cross = (x1 - x2) * (y - y2) / (y1 - y2) + x2
+            odd ^= ((y2 > y) != (y1 > y)) & (x < x_cross)
+    return on_boundary | odd
+
+
+@st.composite
+def ring_and_box_points(draw):
+    """A ring (lattice or float vertices) and points on its vertices and
+    edges, around its bounding box (within 1e-9, and either side of the
+    1e-6 margin) and anywhere, NaN and infinities included."""
+    vertex = st.one_of(coords, st.floats(-500.0, 500.0))
+    ring = draw(st.lists(st.tuples(vertex, vertex), min_size=3, max_size=9))
+    points = list(ring)
+    for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
+        t = draw(st.floats(0.0, 1.0))
+        points.append((x1 + t * (x2 - x1), y1 + t * (y2 - y1)))
+    (x_lo, y_lo), (x_hi, y_hi) = np.min(ring, axis=0), np.max(ring, axis=0)
+    offsets = st.sampled_from([0.0, 1e-9, -1e-9, 5e-7, 1e-6, 1.0000001e-6, 2e-6, 1.0])
+    for _ in range(draw(st.integers(0, 12))):
+        x = draw(st.one_of(st.sampled_from([x_lo, x_hi]), st.floats(x_lo, x_hi)))
+        y = draw(st.one_of(st.sampled_from([y_lo, y_hi]), st.floats(y_lo, y_hi)))
+        dx, dy = draw(offsets), draw(offsets)
+        points.append((x - dx if x == x_lo else x + dx, y - dy if y == y_lo else y + dy))
+    points += draw(st.lists(st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)),
+                            max_size=4))
+    return ring, points
+
+
+@settings()  # examples from the loaded profile (tests/conftest.py)
+@given(ring_and_box_points())
+@example(([(0.0, 0.0), (4.0, 0.0), (4.0, 1.0)],
+          [(4.0 + 1e-9, 0.5), (-1e-9, 0.0), (2.0, -1.0000001e-6), (math.nan, 0.5),
+           (-math.inf, 0.5)]))
+@example(([(0.0, 0.0), (4.0, 0.0), (math.nan, 1.0), (0.0, 2.0)], [(1.0, 0.5), (-1.0, 0.5)]))
+def test_points_in_ring_matches_the_per_edge_loop(case):
+    ring, points = case
+    x, y = np.array(points).T
+    with np.errstate(all="ignore"):
+        want = per_edge_points_in_ring(x, y, ring)
+        got = points_in_ring(x, y, ring)
+        assert got.tolist() == want.tolist()
+        assert points_in_ring(x.reshape(-1, 1), y[0], ring).tolist() == per_edge_points_in_ring(
+            x.reshape(-1, 1), y[0], ring).tolist()
 
 
 # -- pattern gain ------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from plkit.analysis import read_bins_csv, synthesize_samples, write_bins_csv
-from plkit.cli import main
+from plkit.cli import build_parser, main
 from plkit.geo import GeodeticPoint, LocalPoint, from_local
 from plkit.ingest import MeasurementSample, write_samples_csv
 
@@ -352,3 +352,26 @@ class TestModelsCommand:
         assert run(["models"]) == 0
         out = capsys.readouterr().out
         assert "WINNER2_D1_NLOS" in out
+
+
+COMMANDS = ["synth", "bin", "fit", "compare", "offset", "o2i", "models"]
+
+
+class TestParser:
+    """``main`` builds only the invoked command's arguments; what it prints
+    and how it exits must be what the full parser gives."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["bogus"], ["--", "bin"], ["bin"], ["synth", "--bad"],
+        ["compare", "bins.csv", "--curve-points", "x"], ["fit", "--split", "up"],
+    ] + [[command, "--help"] for command in COMMANDS])
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys):
+        with pytest.raises(SystemExit) as want_exit:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as got_exit:
+            main(argv)
+        got = capsys.readouterr()
+        assert (got_exit.value.code, got.out, got.err) == (want_exit.value.code, want.out,
+                                                           want.err)
+        assert got.out or got.err

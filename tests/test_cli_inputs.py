@@ -280,6 +280,28 @@ class TestJsonInputs:
                       "config must be a JSON object")
 
 
+class TestConfigValueTypes:
+    @pytest.mark.parametrize("command, config, message", [
+        ("synth", {"grid_size": None}, "'grid_size' must be a number, got None"),
+        ("synth", {"seed": True}, "'seed' must be an integer, got True"),
+        ("synth", {"d0": "100"}, "'d0' must be a number, got '100'"),
+        ("compare", {"models": 5}, "'models' must be a string or a list of strings, got 5"),
+        ("compare", {"models": ["FSPL", 5]}, "'models' must be a string or a list of strings"),
+        ("compare", {"site": 5}, "'site' must be a path string, got 5"),
+        ("compare", {"output_dir": ["a"]}, "'output_dir' must be a path string"),
+    ])
+    def test_a_value_of_the_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, command,
+                                                              config, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        args = [command, "--config", path, "--out", out]
+        if command == "compare":
+            synth_bins(tmp_path / "bins.csv")
+            args.insert(1, tmp_path / "bins.csv")
+        assert_exit_2(args, capsys, out, f"config key {message}")
+
+
 class TestO2iFloors:
     @pytest.mark.parametrize("floor", ["2", 2, 2.0])
     def test_integral_floors_still_read(self, tmp_path, floor):

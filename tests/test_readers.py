@@ -7,7 +7,10 @@ apart from returning plain lists and counts. On generated files, clean and
 dirty, both must give the same records and counts, or fail with the same
 message and line. The generated files also take the readers off their
 ``str.split`` path onto ``csv.reader``: quoted cells, CRLF line ends, no
-final newline, whitespace-only lines and NULs.
+final newline, whitespace-only lines and NULs. Files whose chunks the
+readers index by byte offset are mixed with chunks they split or hand to
+``csv.reader``: a non-ASCII cell, a tab, a whitespace-only beam or a quote
+takes a chunk off the offsets.
 """
 
 import contextlib
@@ -31,7 +34,8 @@ from plkit.ingest import (
     read_samples_csv,
 )
 
-SETTINGS = settings(max_examples=120, deadline=None)
+# examples and deadline from the loaded profile (tests/conftest.py)
+SETTINGS = settings()
 
 
 # -- oracles: the per-row readers as they were ----------------------------------
@@ -414,6 +418,93 @@ def test_parse_scanner_log_matches_per_row_parser(text, chunk):
         assert got == want
     else:
         assert (got.samples, got.rows, got.skipped, got.filtered) == want
+
+
+# -- chunks read at their offsets, next to chunks that are not -------------------
+
+# each takes its chunk off the offsets: non-ASCII digits (int() and float()
+# read them), tabs, whitespace-only cells (NBSP too) and a quote
+SALT = ["\t5", "4\uff17.5", "\u0661\u0662", "\t", " ", "\u00a0", '"-70"', "-\uff17\uff10",
+        "\t-70.5", "-70.5\t", "x\u00e9"]
+
+
+@st.composite
+def salted(draw, rows):
+    """Lines of ``rows`` with up to two cells replaced from ``SALT``, so
+    that clean chunks and others share one file."""
+    rows = [list(r) for r in rows]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        if rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(SALT))
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+@st.composite
+def mixed_testbed_log(draw):
+    beams = draw(st.integers(1, 4))
+    received = st.sampled_from(["", "", "", "-70.25", "-80", "-40", "nan", "-inf", "-159.5"])
+    rows = [[draw(ints(1, 10**6)), draw(floats(-90.0, 90.0)), draw(floats(-180.0, 180.0))]
+            + [draw(received) for _ in range(beams)] for _ in range(draw(st.integers(0, 12)))]
+    header = ",".join(["timestamp_ms", "lat", "lon"] + [f"mrsrp_{b:02d}" for b in range(beams)])
+    return header + "\n" + draw(salted(rows))
+
+
+@SETTINGS
+@given(text=mixed_testbed_log(), chunk=st.sampled_from([1, 2, 3]))
+# an indexed chunk, a split one (a whitespace-only beam), then csv.reader (a quote)
+@example(text="timestamp_ms,lat,lon,mrsrp_00,mrsrp_01\n1,47,8,-70,\n2,47,8,,-71\n"
+              '3,47,8, ,-72\n4,47,8,-73,\t\n5,47,8,"-74",\n6,47,8,,\n', chunk=2)
+@example(text="timestamp_ms,lat,lon,mrsrp_00\n1,47,8,-70\n2,4\uff17,8,-7\uff10\n3,47,8,x\n",
+         chunk=1)
+# whitespace outside ASCII: a beam of one NBSP is not heard, and float()
+# reports a bad beam stripped
+@example(text="timestamp_ms,lat,lon,mrsrp_00,mrsrp_01\n1,47,8,\u00a0,-70\n2,47,8,\u3000x,-70\n",
+         chunk=2)
+@example(text="timestamp_ms,lat,lon,mrsrp_00\n1,47,8,-70\n2,47,8,\ud800\n", chunk=2)
+def test_testbed_chunks_at_offsets_and_split_match_per_row_parser(text, chunk):
+    want = outcome(oracle_parse_testbed_log, io.StringIO(text))
+    with chunk_rows(chunk):
+        got = outcome(parse_testbed_log, io.StringIO(text))
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.samples, got.rows, got.skipped, got.filtered) == want
+
+
+# int() reads all but the last five; numpy reads only the plain ones of up to 18 digits
+CELL_IDS = ["301", "302", "+301", "3_01", " 301", "0301", "\u0663\u0660\u0661", "301\t",
+            "000000000000000301", "0000000000000000301", "123456789012345678",
+            "1234567890123456789", "99999999999999999999",
+            "-301", "3.01", "3:01", "30 1", "", "x"]
+WANTED = {301, 123456789012345678, 1234567890123456789, 99999999999999999999}
+
+
+@st.composite
+def mixed_scanner_log(draw):
+    rows = [[draw(ints(1, 10**6)), draw(floats(-90.0, 90.0)), draw(floats(-180.0, 180.0)),
+             draw(st.sampled_from(["301", "302", "12"] * 4 + CELL_IDS)),
+             draw(floats(-140.0, -40.0))] for _ in range(draw(st.integers(0, 12)))]
+    return "timestamp_ms,lat,lon,cell_id,rsrp_dbm\n" + draw(salted(rows))
+
+
+@SETTINGS
+@given(text=mixed_scanner_log(), chunk=st.sampled_from([1, 2, 3]))
+@example(text="timestamp_ms,lat,lon,cell_id,rsrp_dbm\n"
+              + "".join(f"{k},47,8,{c},-80\n" for k, c in enumerate(CELL_IDS[:-3], 1)),
+         chunk=2)
+@example(text="timestamp_ms,lat,lon,cell_id,rsrp_dbm\n1,47,8,0301,-80\n2,47,8,30 1,-80\n",
+         chunk=2)
+@example(text="timestamp_ms,lat,lon,cell_id,rsrp_dbm\n1,47,8,301,-80\n2,47,8,,-80\n", chunk=2)
+def test_scanner_chunks_at_offsets_and_split_match_per_row_parser(text, chunk):
+    want = outcome(oracle_parse_scanner_log, io.StringIO(text), WANTED)
+    with chunk_rows(chunk):
+        got = outcome(parse_scanner_log, io.StringIO(text), WANTED)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.samples, got.rows, got.skipped, got.filtered) == want
+        assert [type(s.cell_id) for s in got.samples] == [int] * len(got.samples)
 
 
 SAMPLE_BAD = [
