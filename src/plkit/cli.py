@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,13 +24,23 @@ from . import analysis, antenna, ingest, models
 from .columns import write_csv
 from .geo import GeodeticPoint, load_polygons
 
-_PATH, _NUMBER = ("a path string", str), ("a number", (int, float))
-# key: (what its value must be, the JSON types it may take)
+
+def _number(value) -> bool:
+    """A JSON number, or a string ``float`` reads as a finite one (as in a site config)."""
+    try:
+        return type(value) in (int, float) or isinstance(value, str) and math.isfinite(float(value))
+    except ValueError:
+        return False
+
+
+# key: (what its value must be, whether a value is that)
+_PATH, _NUMBER = ("a path string", lambda v: isinstance(v, str)), ("a number", _number)
 CONFIG_KEYS = {
     "site": _PATH, "pattern": _PATH, "polygons": _PATH, "exclusion_mask": _PATH,
     "grid_size": _NUMBER, "d0": _NUMBER, "min_d": _NUMBER, "max_d": _NUMBER,
-    "models": ("a string or a list of strings", (str, list)), "output_dir": _PATH,
-    "seed": ("an integer", int),
+    "models": ("a string or a list of strings", lambda v: isinstance(v, str) or (
+        isinstance(v, list) and all(isinstance(m, str) for m in v))),
+    "output_dir": _PATH, "seed": _NUMBER,
 }
 
 
@@ -41,9 +52,8 @@ def _load_config(path) -> dict:
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     for key, value in data.items():
-        kind, types = CONFIG_KEYS[key]
-        if isinstance(value, bool) or not isinstance(value, types) or (
-                isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+        kind, check = CONFIG_KEYS[key]
+        if not check(value):
             raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
     return data
 
@@ -307,7 +317,7 @@ def cmd_compare(args) -> int:
     sweep[-1] = links.d2d_m.max()
     curves_path = out_dir / "model_curves.csv"
     names, losses = [], []
-    for mid in model_ids:  # one series at a time: each holds per-point warning lists
+    for mid in model_ids:
         series = models.predict_series(mid, template, sweep)
         names.append(series.model_id)
         losses.append(np.array(series.path_loss_db))
@@ -354,8 +364,8 @@ def cmd_o2i(args) -> int:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The plkit argument parser. Every command is listed with its help;
-    given a command name, only that command's arguments are built."""
+    """The plkit parser: every command with its help, and the arguments
+    of ``command`` only, if one is given."""
     parser = argparse.ArgumentParser(
         prog="plkit",
         description="Path-loss model evaluation and drive-test analysis pipeline",

@@ -3,20 +3,19 @@
 The readers (logs, bin tables, antenna patterns, sample files) read the
 lines after the header in chunks of at most ``CHUNK_ROWS``. One rule,
 checked with numpy on a chunk's bytes, says whether ``csv.reader`` would
-split it at every comma (no quote, carriage return or NUL, a newline
-ending every line, one comma fewer than the row has fields on each, no
-line longer than ``csv.field_size_limit()``) and yields each cell's
-offsets. A :class:`Chunk` that is also ASCII with no byte <= 32 but its
-newlines reads cells at their offsets, so the log parsers convert only the
-cells they keep; any other clean chunk is split with ``str.split``. From
-the first chunk that is not clean, the rest of the file goes through
-``csv.reader``. Each column of a chunk is converted with one ``map`` of
-``int``/``float`` and checked as a whole. A reader must still reject a bad
-file the way a row-by-row pass would: at the first offending line, with
-the message of the first check that line fails. :class:`RowChecks` gives
-that answer when the conversions and checks of a chunk are made in the
-order a row-by-row pass makes them, and a reader stops at the first chunk
-that fails (earlier chunks were clean).
+split it at every comma (no quote, CR or NUL, a newline ending every line,
+``width - 1`` commas on each, no line over ``csv.field_size_limit()``) and
+yields the offset of the separator after each cell. In an ASCII chunk with
+no byte <= 32 but its newlines, the log parsers read only the cells they
+keep at those offsets; the other readers, and any other clean chunk, split
+it with ``str.split``. From the first chunk that is not clean, the rest of
+the file goes through ``csv.reader``. Each column of a chunk is converted
+with one ``map`` of ``int``/``float`` and checked as a whole. A reader must
+still reject a bad file the way a row-by-row pass would: at the first
+offending line, with the message of the first check that line fails.
+:class:`RowChecks` gives that answer when the conversions and checks of a
+chunk are made in the order a row-by-row pass makes them, and a reader
+stops at the first chunk that fails (earlier chunks were clean).
 
 :func:`write_csv` writes columns back with one format string per table,
 cell for cell as ``csv.writer`` writes the rows.
@@ -86,86 +85,65 @@ class RowChecks:
 
 
 class Chunk:
-    """The ``rows`` of one chunk, ``width`` cells each, with their ``checks``:
-    the text, bytes and cell offsets of an indexed chunk (its ``cells`` are
-    split when first asked for), or else the ``cells``."""
+    """The ``rows`` of one chunk, ``width`` cells each, with their ``checks``.
+    A chunk read at offsets keeps its text and ``ends``, the offset of the
+    separator after each cell, until its ``cells`` are asked for."""
 
     def __init__(self, width: int, checks: RowChecks, cells: Optional[list[str]] = None,
-                 text: Optional[str] = None, offsets=None):
+                 text: Optional[str] = None, ends: Optional[np.ndarray] = None):
         self.width, self.checks = width, checks
-        self._cells, self._text, self._offsets = cells, text, offsets
-        self.rows = (offsets[1].size if offsets else len(self.cells)) // width
+        self._cells, self._text, self._ends = cells, text, ends
+        self.rows = len(cells if ends is None else ends) // width
 
     @property
     def cells(self) -> list[str]:
         """Every cell, row after row."""
         if self._cells is None:
             self._cells = self._text[:-1].replace("\n", ",").split(",")
+            self._text = self._ends = None  # keep one copy of the chunk
         return self._cells
 
     def take(self, index: np.ndarray, strip: bool = False) -> list[str]:
         """The cells at ``index.ravel()`` (row * width + column), stripped if
-        asked (an indexed chunk holds no whitespace)."""
+        asked (a chunk read at offsets holds no whitespace)."""
         index = index.ravel()
-        if self._offsets is None:
+        if self._ends is None:
             cells = list(map(self.cells.__getitem__, index.tolist()))
             return list(map(str.strip, cells)) if strip else cells
-        data, ends = self._offsets
-        if not index.size:
-            return []
-        # the positions of the cells' bytes, each cell with its separator: a
-        # step of 1 within a cell, a jump to the next cell's start between
-        starts = np.where(index > 0, ends[index - 1], -1) + 1
-        last = np.cumsum(ends[index] + 1 - starts)
-        at = np.ones(last[-1], np.int64)
-        at[0], at[last[:-1]] = starts[0], starts[1:] - ends[index[:-1]]
-        return data[np.cumsum(at, out=at)].tobytes().decode().replace("\n", ",").split(",")[:-1]
+        starts = np.where(index > 0, self._ends[index - 1] + 1, 0)
+        sizes = self._ends[index] + 1 - starts  # each cell with its separator
+        at = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+        data = np.frombuffer(self._text.encode(), np.uint8)[at]
+        return data.tobytes().decode().replace("\n", ",").split(",")[:-1]
 
     def filled(self) -> np.ndarray:
         """(rows, width) mask of the cells with more than whitespace."""
-        if self._offsets is None:
+        if self._ends is None:
             return np.array([bool(c.strip()) for c in self.cells], bool).reshape(-1, self.width)
-        sep = (self._offsets[0] == 44) | (self._offsets[0] == 10)
-        after = np.empty_like(sep)  # whether the byte before is a separator
-        after[0], after[1:] = True, sep[:-1]
-        return ~after[sep].reshape(-1, self.width)
-
-    def ints(self, j: int) -> list[int]:
-        """``int`` of each cell of column ``j``, as ``checks.parse`` gives it;
-        the cells of 1 to 18 ASCII digits of an indexed chunk are converted
-        (exactly) by numpy."""
-        exact, value = np.zeros(self.rows, bool), np.zeros(self.rows, np.int64)
-        if self._offsets is not None:
-            data, ends = self._offsets
-            index = np.arange(j, self.rows * self.width, self.width)
-            starts, ends = np.where(index > 0, ends[index - 1], -1) + 1, ends[index]
-            at = ends[:, None] - np.arange(min(int((ends - starts).max()), 18), 0, -1)
-            digit = np.where(at >= starts[:, None], data[np.maximum(at, 0)] - 48, 0)
-            exact = (ends - starts >= 1) & (ends - starts <= 18) & (digit <= 9).all(axis=1)
-            value = digit.astype(np.int64) @ 10 ** np.arange(at.shape[1] - 1, -1, -1)
-        cells, odd = value.tolist(), np.flatnonzero(~exact)
-        for k, v in zip(odd.tolist(), self.checks.parse(int, self.take(odd * self.width + j), odd)):
-            cells[k] = v
-        return cells
+        ends = self._ends
+        return np.concatenate(([ends[0] > 0], np.diff(ends) > 1)).reshape(-1, self.width)
 
 
-def _cell_offsets(text: str, rows: int, width: int, limit: int):
-    """The clean-chunk rule on ``rows`` lines: None if ``csv.reader`` must
-    read them, else their bytes and the offset of the separator after each
-    cell, or () where these cannot index ``text``."""
+def _cell_ends(text: str, rows: int, width: int, limit: int):
+    """The clean-chunk rule on the ``rows`` lines of ``text``: None if
+    ``csv.reader`` must read them, else the offset of the separator after
+    each cell and whether these offsets index ``text``."""
     # surrogatepass: a stream of str may hold lone surrogates, which are not ASCII either
     data = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
     ends = np.flatnonzero(data <= 44)  # separators, spaces, quotes, control bytes, !#$%&'()*+
     byte = data[ends]
-    other = byte[(byte != 44) & (byte != 10)]
+    sep = (byte == 44) | (byte == 10)
+    other = byte[~sep]
     if other.size:
-        if ((other == 34) | (other == 13) | (other == 0)).any():
-            return None
-        ends = ends[(byte == 44) | (byte == 10)]
-    if (data[-1] != 10 or ends.size != rows * width or (data[ends[width - 1::width]] != 10).any()
-            or np.diff(ends[width - 1::width], prepend=-1).max() > limit + 1):
+        ends, byte = ends[sep], byte[sep]
+    newline = byte == 10
+    if (((other == 34) | (other == 13) | (other == 0)).any() or not text.endswith("\n")
+            or ends.size != rows * width or not newline[width - 1::width].all()):
         return None
-    return (data, ends) if text.isascii() and not (other <= 32).any() else ()
+    lines = ends[newline] if len(text) > limit else None  # else no line is over the limit
+    if lines is not None and (lines[0] > limit or (np.diff(lines) > limit + 1).any()):
+        return None
+    return ends, text.isascii() and not (other <= 32).any()
 
 
 def read_chunks(fh, width: int, field_error: Callable[[list], str]) -> Iterator[Chunk]:
@@ -184,13 +162,14 @@ def read_chunks(fh, width: int, field_error: Callable[[list], str]) -> Iterator[
         if not batch:
             return
         text = "".join(batch)
-        offsets = _cell_offsets(text, len(batch), width, limit)
-        if offsets is None:
+        clean = _cell_ends(text, len(batch), width, limit)
+        if clean is None:
             yield from _csv_chunks(csv.reader(itertools.chain(batch, fh)), line, width,
                                    field_error)
             return
-        yield Chunk(width, RowChecks(range(line, line + len(batch))), text=text,
-                    offsets=offsets or None)
+        checks, (ends, indexed) = RowChecks(range(line, line + len(batch))), clean
+        yield (Chunk(width, checks, text=text, ends=ends) if indexed
+               else Chunk(width, checks, text[:-1].replace("\n", ",").split(",")))
         line += len(batch)
 
 

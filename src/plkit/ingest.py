@@ -244,7 +244,8 @@ def parse_scanner_log(
         tables, rows, filtered = [], 0, 0
         for chunk in read_chunks(fh, width, lambda row: f"expected {width} fields"):
             checks = chunk.checks
-            cell = chunk.ints(3)  # the other cells of a filtered row are never read
+            # the other cells of a filtered row are never read
+            cell = checks.parse(int, chunk.take(np.arange(3, chunk.rows * width, width)))
             keep = np.flatnonzero(np.fromiter(map(wanted.__contains__, cell), bool, len(cell)))
             pick = keep.tolist()
             kept = chunk.take(keep[:, None] * width + np.arange(width))

@@ -283,8 +283,10 @@ class TestJsonInputs:
 class TestConfigValueTypes:
     @pytest.mark.parametrize("command, config, message", [
         ("synth", {"grid_size": None}, "'grid_size' must be a number, got None"),
-        ("synth", {"seed": True}, "'seed' must be an integer, got True"),
-        ("synth", {"d0": "100"}, "'d0' must be a number, got '100'"),
+        ("synth", {"seed": True}, "'seed' must be a number, got True"),
+        ("synth", {"d0": "1e2x"}, "'d0' must be a number, got '1e2x'"),
+        ("synth", {"grid_size": "nan"}, "'grid_size' must be a number, got 'nan'"),
+        ("synth", {"min_d": [1]}, "'min_d' must be a number, got [1]"),
         ("compare", {"models": 5}, "'models' must be a string or a list of strings, got 5"),
         ("compare", {"models": ["FSPL", 5]}, "'models' must be a string or a list of strings"),
         ("compare", {"site": 5}, "'site' must be a path string, got 5"),
@@ -300,6 +302,16 @@ class TestConfigValueTypes:
             synth_bins(tmp_path / "bins.csv")
             args.insert(1, tmp_path / "bins.csv")
         assert_exit_2(args, capsys, out, f"config key {message}")
+
+    def test_numbers_written_as_strings_still_read(self, tmp_path):
+        outputs = []
+        for d0, grid_size, seed in (("100", "5", "3"), (100, 5, 3)):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({"d0": d0, "grid_size": grid_size, "seed": seed}))
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert main(["synth", "--config", str(path), "--out", str(out), "--n", "20"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestO2iFloors:

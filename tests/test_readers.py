@@ -472,7 +472,7 @@ def test_testbed_chunks_at_offsets_and_split_match_per_row_parser(text, chunk):
         assert (got.samples, got.rows, got.skipped, got.filtered) == want
 
 
-# int() reads all but the last five; numpy reads only the plain ones of up to 18 digits
+# int() reads all but the last five
 CELL_IDS = ["301", "302", "+301", "3_01", " 301", "0301", "\u0663\u0660\u0661", "301\t",
             "000000000000000301", "0000000000000000301", "123456789012345678",
             "1234567890123456789", "99999999999999999999",
@@ -568,6 +568,35 @@ def test_a_field_over_the_csv_limit_fails_as_csv_reader_does(tmp_path):
     finally:
         csv.field_size_limit(saved)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("at", [0, 3])  # the first line of a chunk, or a later one
+@pytest.mark.parametrize("lat", ["47.0", "47.00", "47." + "0" * 20])
+def test_lines_at_and_over_the_csv_limit_read_as_csv_reader_reads_them(at, lat):
+    """A line over the limit takes its chunk to csv.reader, which fails
+    only on a field over the limit."""
+    lines = ["1,47.0,8,-70"] * 4
+    lines[at] = f"1,{lat},8,-70"
+    text = "timestamp_ms,lat,lon,mrsrp_00\n" + "\n".join(lines) + "\n"
+
+    def read(parse):
+        try:
+            return outcome(parse, io.StringIO(text))
+        except csv.Error as exc:
+            return str(exc)
+
+    saved = csv.field_size_limit(len(lines[1]))
+    try:
+        want = read(oracle_parse_testbed_log)
+        with chunk_rows(2):
+            got = read(parse_testbed_log)
+    finally:
+        csv.field_size_limit(saved)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.samples, got.rows, got.skipped, got.filtered) == want
+    assert isinstance(got, str) == (len(lat) > len(lines[1]))
 
 
 def test_a_label_with_a_nul_is_rejected(tmp_path):
