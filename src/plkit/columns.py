@@ -86,14 +86,14 @@ class RowChecks:
 
 class Chunk:
     """The ``rows`` of one chunk, ``width`` cells each, with their ``checks``.
-    A chunk read at offsets keeps its text and ``ends``, the offset of the
-    separator after each cell, until its ``cells`` are asked for."""
+    A chunk read at offsets keeps its text and the separator offsets (``ends``)
+    until its ``cells`` are asked for; any other chunk is split at once."""
 
     def __init__(self, width: int, checks: RowChecks, cells: Optional[list[str]] = None,
                  text: Optional[str] = None, ends: Optional[np.ndarray] = None):
         self.width, self.checks = width, checks
         self._cells, self._text, self._ends = cells, text, ends
-        self.rows = len(cells if ends is None else ends) // width
+        self.rows = len(self.cells if ends is None else ends) // width
 
     @property
     def cells(self) -> list[str]:
@@ -167,9 +167,9 @@ def read_chunks(fh, width: int, field_error: Callable[[list], str]) -> Iterator[
             yield from _csv_chunks(csv.reader(itertools.chain(batch, fh)), line, width,
                                    field_error)
             return
-        checks, (ends, indexed) = RowChecks(range(line, line + len(batch))), clean
-        yield (Chunk(width, checks, text=text, ends=ends) if indexed
-               else Chunk(width, checks, text[:-1].replace("\n", ",").split(",")))
+        ends, indexed = clean
+        yield Chunk(width, RowChecks(range(line, line + len(batch))), text=text,
+                    ends=ends if indexed else None)
         line += len(batch)
 
 
