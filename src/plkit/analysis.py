@@ -9,7 +9,6 @@ shadow-fading distribution checks, and outdoor-to-indoor CDFs.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -18,7 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from . import models
-from .columns import RowChecks, int_array, read_chunks, write_csv
+from .columns import Chunk, int_array, read_csv, write_csv
 from .antenna import AntennaPattern, gain_at
 from .geo import (
     GeodeticPoint,
@@ -280,6 +279,23 @@ def _cell_means(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> n
     return means
 
 
+def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal rows in ``keys``, sorted together."""
+    first = np.ones(keys[0].size, dtype=bool)
+    first[1:] = keys[0][1:] != keys[0][:-1]
+    for key in keys[1:]:
+        first[1:] = first[1:] | (key[1:] != key[:-1])
+    starts = np.flatnonzero(first)
+    return starts, np.diff(np.append(starts, first.size))
+
+
+def _medians(ranked: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Median of each run of ``ranked``, sorted within runs: the middle
+    member, or the mean of the middle two for even counts."""
+    mid = starts + counts // 2
+    return np.where(counts % 2 == 1, ranked[mid], (ranked[mid - 1] + ranked[mid]) / 2.0)
+
+
 def _table(records, kind: type = BinTable):
     """The one conversion of list input: a table of ``kind`` unchanged,
     MeasurementSample records through SampleTable.from_samples, GridBin or
@@ -319,17 +335,11 @@ def _aggregate(samples: SampleTable, origin: GeodeticPoint, grid_size: float) ->
     order = np.lexsort((power, up, north, east, iy, ix))
     by_power = np.lexsort((power, iy, ix))
     ix, iy = ix[order], iy[order]
-    first = np.ones(ix.size, dtype=bool)
-    first[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, ix.size))
-    ranked = power[by_power]
-    mid = starts + counts // 2
-    median = np.where(counts % 2 == 1, ranked[mid], (ranked[mid - 1] + ranked[mid]) / 2.0)
+    starts, counts = _runs(ix, iy)
     return BinTable.aggregated(
         ix[starts], iy[starts],
         *(_cell_means(v[order], starts, counts) for v in (east, north, up)),
-        median, counts, grid_size,
+        _medians(power[by_power], starts, counts), counts, grid_size,
     )
 
 
@@ -507,13 +517,9 @@ def prediction_errors(bins: Bins, model_id: str, template: models.LinkGeometry) 
 def _path_loss_by_cell(table: BinTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cells in (ix, iy) order with their mean path loss; a cell's rows are
     summed in table order with Python's ``sum``, as a per-cell list was."""
-    ix, iy, pl = table.ix, table.iy, table.pl_db
-    order = np.lexsort((iy, ix))
-    ix, iy, pl = ix[order], iy[order], pl[order]
-    first = np.ones(ix.size, dtype=bool)
-    first[1:] = (ix[1:] != ix[:-1]) | (iy[1:] != iy[:-1])
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, ix.size))
+    order = np.lexsort((table.iy, table.ix))
+    ix, iy, pl = table.ix[order], table.iy[order], table.pl_db[order]
+    starts, counts = _runs(ix, iy)
     means = pl[starts]
     for g in np.flatnonzero(counts > 1).tolist():
         means[g] = sum(pl[starts[g]:starts[g] + counts[g]].tolist()) / int(counts[g])
@@ -598,13 +604,9 @@ def distance_profile(
     ring = np.floor(d / step_m)
     order = np.lexsort((pl, ring))
     ring, pl = ring[order], pl[order]
-    first = np.ones(ring.size, dtype=bool)
-    first[1:] = ring[1:] != ring[:-1]
-    starts = np.flatnonzero(first)
-    counts = np.diff(np.append(starts, ring.size))
-    mid = starts + counts // 2
-    median = np.where(counts % 2 == 1, pl[mid], (pl[mid - 1] + pl[mid]) / 2.0)
-    return [((g + 0.5) * step_m, m) for g, m in zip(ring[starts].tolist(), median.tolist())]
+    starts, counts = _runs(ring)
+    return [((g + 0.5) * step_m, m)
+            for g, m in zip(ring[starts].tolist(), _medians(pl, starts, counts).tolist())]
 
 
 DEFAULT_SYNTH_ORIGIN = GeodeticPoint(47.0, 8.0)
@@ -723,32 +725,35 @@ def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
                                  bins.count, bins.los, bins.band])
 
 
-def _read_bin_rows(cells: list[str], checks: RowChecks, grid_size: float) -> list:
+def _read_bin_rows(chunk: Chunk, grid_size: float) -> list:
     """The columns of one chunk of bin-table rows, checked in the order a
     GridBin built from each row checks them."""
     width = len(BIN_FIELDS)
     ix_s, iy_s, lat_s, lon_s, d2d_s, d3d_s, pl_s, count_s, los, band = (
-        cells[j::width] for j in range(width))
+        chunk.cells[j::width] for j in range(width))
     has_pos = np.flatnonzero(np.fromiter(map(bool, lat_s), bool, len(lat_s)))
     pick = has_pos.tolist()
-    lat, lon = (checks.parse(float, [c[k] for k in pick], has_pos) for c in (lat_s, lon_s))
-    _check_position(checks, has_pos, lat, lon)
-    d2d, d3d, pl = (np.array(checks.parse(float, c), dtype=float) for c in (d2d_s, d3d_s, pl_s))
-    checks.check(
+    lat, lon = (chunk.parse(float, [c[k] for k in pick], has_pos) for c in (lat_s, lon_s))
+    _check_position(chunk, has_pos, lat, lon)
+    d2d, d3d, pl = (np.array(chunk.parse(float, c), dtype=float) for c in (d2d_s, d3d_s, pl_s))
+    chunk.check(
         ~(np.isfinite(pl) & (0.0 < d2d) & (d2d <= d3d) & (d3d < math.inf)),
         lambda k: ("need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
                    f"got pl_db={pl_s[k]}, d2d_m={d2d_s[k]}, d3d_m={d3d_s[k]}"))
-    ix, iy = (int_array(checks.parse(int, c)) for c in (ix_s, iy_s))
+    ix, iy = (int_array(chunk.parse(int, c)) for c in (ix_s, iy_s))
     try:
         check_grid_size(grid_size)  # what GridIndex checks
     except ValueError as exc:
-        checks.fail(0, str(exc))
-    count = int_array(checks.parse(int, count_s))
-    checks.check(~(pl > 0), lambda k: f"path loss must be positive, got {pl[k].item()}")
-    checks.check(~(count >= 1), lambda k: "sample_count must be >= 1")
+        chunk.fail(0, str(exc))
+    count = int_array(chunk.parse(int, count_s))
+    chunk.check(~(pl > 0), lambda k: f"path loss must be positive, got {pl[k].item()}")
+    chunk.check(~(count >= 1), lambda k: "sample_count must be >= 1")
     # on the cells: a numpy string column drops trailing NULs
-    checks.check(~np.fromiter(map(LOS_LABELS.__contains__, los), bool, len(los)),
-                 lambda k: f"los must be one of {LOS_LABELS}")
+    chunk.check(~np.fromiter(map(LOS_LABELS.__contains__, los), bool, len(los)),
+                lambda k: f"los must be one of {LOS_LABELS}")
+    if "\0" in "".join(band):
+        chunk.check(np.fromiter(("\0" in b for b in band), bool, len(band)),
+                    lambda k: f"band must not hold a NUL, got {band[k]!r}")
     full_lat, full_lon = np.full(len(ix), np.nan), np.full(len(ix), np.nan)
     full_lat[has_pos], full_lon[has_pos] = lat, lon
     nan = np.full(len(ix), np.nan)
@@ -763,14 +768,8 @@ def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:
     Rejects, with the line number, rows whose path loss is not finite or
     whose distances are not finite with 0 < d2d_m <= d3d_m.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip() for h in header] != BIN_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(BIN_FIELDS)}")
-        chunks = []
-        for chunk in read_chunks(fh, len(BIN_FIELDS), lambda row: "wrong field count"):
-            chunks.append(_read_bin_rows(chunk.cells, chunk.checks, grid_size))
-            chunk.checks.raise_first(f"{path}: ")
+    chunks = read_csv(path, BIN_FIELDS, "wrong field count",
+                      lambda chunk: _read_bin_rows(chunk, grid_size))
     if not chunks:
-        chunks = [_read_bin_rows([], RowChecks([]), grid_size)]
+        chunks = [_read_bin_rows(Chunk(len(BIN_FIELDS), [], []), grid_size)]
     return BinTable(*(np.concatenate(c) for c in zip(*chunks)), grid_size=grid_size)

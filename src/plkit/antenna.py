@@ -9,7 +9,6 @@ always latches onto the strongest beam.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import read_chunks, write_csv
+from .columns import read_csv, read_json, write_csv
 
 
 @dataclass
@@ -237,18 +236,13 @@ def load_pattern_csv(
     """Read a pattern CSV (header azimuth_deg,elevation_deg,gain_dbi), one
     row per grid node; a node given twice is rejected with its line."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip() for h in header] != PATTERN_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(PATTERN_FIELDS)}")
-        columns, lines = [], []
-        for chunk in read_chunks(fh, 3, lambda row: "expected 3 fields"):
-            columns.append([chunk.checks.parse(float, chunk.cells[j::3]) for j in range(3)])
-            chunk.checks.raise_first(f"{path}: ")
-            lines.extend(chunk.checks.lines)
-    if not lines:
+    chunks = read_csv(path, PATTERN_FIELDS, "expected {width} fields",
+                      lambda chunk: [chunk.lines] + [chunk.parse(float, chunk.cells[j::3])
+                                                     for j in range(3)])
+    if not chunks:
         raise ValueError(f"{path}: empty pattern file")
-    azimuth, elevation, gain_dbi = (np.concatenate(c) for c in zip(*columns))
+    lines, *columns = zip(*chunks)
+    azimuth, elevation, gain_dbi = (np.concatenate(c) for c in columns)
     az, ai = np.unique(azimuth, return_inverse=True)
     el, ei = np.unique(elevation, return_inverse=True)
     node = ai * el.size + ei
@@ -256,7 +250,8 @@ def load_pattern_csv(
     repeats = order[1:][node[order][1:] == node[order][:-1]]
     if repeats.size:
         k = int(repeats.min())
-        raise ValueError(f"{path}: line {lines[k]}: duplicate node "
+        line = [n for part in lines for n in part][k]
+        raise ValueError(f"{path}: line {line}: duplicate node "
                          f"(azimuth {azimuth[k].item()!r}, elevation {elevation[k].item()!r})")
     gain = np.full((az.size, el.size), np.nan)
     gain[ai, ei] = gain_dbi
@@ -289,7 +284,7 @@ def save_beamset(beams: BeamSet, directory) -> Path:
 def load_beamset(manifest_path) -> BeamSet:
     """Load a beam set from a JSON manifest naming per-beam CSV files."""
     manifest_path = Path(manifest_path)
-    data = json.loads(manifest_path.read_text(encoding="utf-8"))
+    data = read_json(manifest_path, "beam-set manifest must be a JSON object")
     layout = data.get("layout", {})
     entries = data.get("beams")
     if not entries:

@@ -12,6 +12,7 @@ file can pre-set most options; explicit flags win over the config.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, antenna, ingest, models
-from .columns import write_csv
+from .columns import read_json, write_csv
 from .geo import GeodeticPoint, load_polygons
 
 
@@ -45,9 +46,7 @@ CONFIG_KEYS = {
 
 
 def _load_config(path) -> dict:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+    data = read_json(path, "config must be a JSON object")
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -187,21 +186,16 @@ def cmd_bin(args) -> int:
     )
     grid_size = float(_opt(args, "grid_size", 5.0))
 
-    tables = []
-    totals = {"rows": 0, "skipped": 0, "filtered": 0}
-    for log_path in args.logs:
-        if args.source == "testbed":
-            result = ingest.parse_testbed_log(log_path, band=args.band or "3.5GHz")
-        else:
-            if not args.cells:
-                raise ValueError("--cells is required for scanner logs")
-            cells = [int(c) for c in args.cells.split(",") if c.strip()]
-            result = ingest.parse_scanner_log(log_path, cells, band=args.band or "800MHz")
-        tables.append(result.table)
-        totals["rows"] += result.rows
-        totals["skipped"] += result.skipped
-        totals["filtered"] += result.filtered
-    samples = ingest.SampleTable.concat(tables)
+    if args.source == "testbed":
+        results = [ingest.parse_testbed_log(p, band=args.band or "3.5GHz") for p in args.logs]
+    else:
+        if not args.cells:
+            raise ValueError("--cells is required for scanner logs")
+        cells = [int(c) for c in args.cells.split(",") if c.strip()]
+        results = [ingest.parse_scanner_log(p, cells, band=args.band or "800MHz")
+                   for p in args.logs]
+    parsed = ingest.ParseResult.concat(results)
+    samples = parsed.table
     if not len(samples):
         raise ValueError("no samples")
 
@@ -219,8 +213,8 @@ def cmd_bin(args) -> int:
         raise ValueError("no bins left after extraction/masking")
 
     analysis.write_bins_csv(bins, args.out)
-    print(f"samples: {len(samples)} (rows {totals['rows']}, "
-          f"skipped {totals['skipped']}, filtered {totals['filtered']})")
+    print(f"samples: {len(samples)} (rows {parsed.rows}, "
+          f"skipped {parsed.skipped}, filtered {parsed.filtered})")
     print(f"bins: {len(bins)}")
     if polygons_path:
         los_weighted = int(bins.count[bins.los == "LOS"].sum())
@@ -471,15 +465,11 @@ def main(argv=None) -> int:
     # only the command's own arguments are built (an option first: all of them)
     parser = build_parser(argv[0] if argv and not argv[0].startswith("-") else None)
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            args._config = _load_config(args.config)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if getattr(args, "config", None):
+            args._config = _load_config(args.config)
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,22 +1,26 @@
 """CSV rows to checked numpy columns, and numpy columns to CSV lines.
 
-The readers (logs, bin tables, antenna patterns, sample files) read the
-lines after the header in chunks of at most ``CHUNK_ROWS``. One rule,
-checked with numpy on a chunk's bytes, says whether ``csv.reader`` would
-split it at every comma (no quote, CR or NUL, a newline ending every line,
-``width - 1`` commas on each, no line over ``csv.field_size_limit()``) and
-yields the offset of the separator after each cell. In an ASCII chunk with
-no byte <= 32 but its newlines, the log parsers read only the cells they
-keep at those offsets; the other readers, and any other clean chunk, split
-it with ``str.split``. From the first chunk that is not clean, the rest of
-the file goes through ``csv.reader``. Each column of a chunk is converted
-with one ``map`` of ``int``/``float`` and checked as a whole. A reader must
-still reject a bad file the way a row-by-row pass would: at the first
-offending line, with the message of the first check that line fails.
-:class:`RowChecks` gives that answer when the conversions and checks of a
-chunk are made in the order a row-by-row pass makes them, and a reader
-stops at the first chunk that fails (earlier chunks were clean).
+Every CSV reader (logs, bin tables, antenna patterns, sample files) reads
+through :func:`read_csv`, which opens a path or takes a stream, checks the
+header with the reader's rule and hands the lines after it to the reader's
+conversion in chunks of at most ``CHUNK_ROWS``; a file read by path is
+named in any refusal. One rule, checked with numpy on a chunk's bytes,
+says whether ``csv.reader`` would split it at every comma (no quote, CR or
+NUL, a newline ending every line, ``width - 1`` commas on each, no line
+over ``csv.field_size_limit()``) and yields the offset of the separator
+after each cell. In an ASCII chunk with no byte <= 32 but its newlines,
+the log parsers read only the cells they keep at those offsets; the other
+readers, and any other clean chunk, split it with ``str.split``. From the
+first chunk that is not clean, the rest of the file goes through
+``csv.reader``. Each column of a chunk is converted with one ``map`` of
+``int``/``float`` and checked as a whole. A reader must still reject a bad
+file the way a row-by-row pass would: at the first offending line, with
+the message of the first check that line fails. A :class:`Chunk` keeps
+that answer when its conversions and checks are made in the order a
+row-by-row pass makes them, and :func:`read_csv` raises it after the
+chunk's conversion (earlier chunks were clean).
 
+:func:`read_json` reads a JSON object, naming its file when it cannot.
 :func:`write_csv` writes columns back with one format string per table,
 cell for cell as ``csv.writer`` writes the rows.
 """
@@ -25,7 +29,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import re
+from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -33,21 +39,22 @@ import numpy as np
 CHUNK_ROWS = 512
 
 
-class RowChecks:
-    """The first failure over the rows of one chunk.
+class Chunk:
+    """The ``rows`` of one chunk, ``width`` cells each, from the file
+    ``lines``, and the first failure over them: ``n`` rows are still clean,
+    and a conversion or check replaces an earlier one's failure only on an
+    earlier row. Conversions and checks take an optional ``rows``
+    (increasing chunk row numbers) when they run on a subset of the rows.
+    A chunk read at offsets keeps its text and the separator offsets
+    (``ends``) until its ``cells`` are asked for; any other chunk is split
+    at once."""
 
-    ``n`` is the number of leading rows still clean: a failure is kept only
-    if it lies before every failure found so far, so a later conversion or
-    check replaces an earlier one's failure only on an earlier row.
-    Conversions and checks take an optional ``rows`` (increasing chunk row
-    numbers) when they run on a subset of the rows.
-    """
-
-    def __init__(self, lines: Sequence[int], n: Optional[int] = None,
-                 error: Optional[str] = None):
-        self.lines = lines  # file line of each row
-        self.n = len(lines) if n is None else n
-        self.error = error
+    def __init__(self, width: int, lines: Sequence[int], cells: Optional[list[str]] = None,
+                 text: Optional[str] = None, ends: Optional[np.ndarray] = None):
+        self.width, self.lines = width, lines
+        self.n, self.error = len(lines), None
+        self._cells, self._text, self._ends = cells, text, ends
+        self.rows = len(self.cells if ends is None else ends) // width
 
     def fail(self, row: int, message: str) -> None:
         if row < self.n:
@@ -56,9 +63,9 @@ class RowChecks:
     def _row(self, k: int, rows) -> int:
         return k if rows is None else int(rows[k])
 
-    def parse(self, kind: Callable, cells: Sequence[str], rows=None, fill=0) -> list:
+    def parse(self, kind: Callable, cells: Sequence[str], rows=None) -> list:
         """``kind`` of every cell; from the first cell it rejects on, the
-        rest of the list is ``fill``."""
+        rest of the list is 0."""
         try:
             return list(map(kind, cells))
         except ValueError:
@@ -69,7 +76,7 @@ class RowChecks:
                 values.append(kind(cell))
             except ValueError as exc:
                 self.fail(self._row(k, rows), str(exc))
-                return values + [fill] * (len(cells) - k)
+                return values + [0] * (len(cells) - k)
         return values
 
     def check(self, bad: np.ndarray, message: Callable[[int], str], rows=None) -> None:
@@ -79,21 +86,9 @@ class RowChecks:
         if k.size:
             self.fail(self._row(int(k[0]), rows), message(int(k[0])))
 
-    def raise_first(self, prefix: str = "") -> None:
+    def raise_first(self) -> None:
         if self.error is not None:
-            raise ValueError(f"{prefix}line {self.lines[self.n]}: {self.error}")
-
-
-class Chunk:
-    """The ``rows`` of one chunk, ``width`` cells each, with their ``checks``.
-    A chunk read at offsets keeps its text and the separator offsets (``ends``)
-    until its ``cells`` are asked for; any other chunk is split at once."""
-
-    def __init__(self, width: int, checks: RowChecks, cells: Optional[list[str]] = None,
-                 text: Optional[str] = None, ends: Optional[np.ndarray] = None):
-        self.width, self.checks = width, checks
-        self._cells, self._text, self._ends = cells, text, ends
-        self.rows = len(self.cells if ends is None else ends) // width
+            raise ValueError(f"line {self.lines[self.n]}: {self.error}")
 
     @property
     def cells(self) -> list[str]:
@@ -146,15 +141,59 @@ def _cell_ends(text: str, rows: int, width: int, limit: int):
     return ends, text.isascii() and not (other <= 32).any()
 
 
-def read_chunks(fh, width: int, field_error: Callable[[list], str]) -> Iterator[Chunk]:
+def read_csv(source, header, field_error: str, convert: Callable[[Chunk], object]) -> list:
+    """``convert`` of each chunk of a CSV file, given by path or as a stream.
+
+    ``header`` is the list of column names, or a rule that gets the stripped
+    names of the header line (None if the file is empty) and returns the
+    row width. ``field_error``, formatted with the ``width`` and the field
+    count ``got``, refuses a row of the wrong width. Each chunk's first
+    failure is raised after its ``convert``; a ``ValueError`` from a file
+    read by path names the path.
+    """
+    if not hasattr(source, "read"):
+        with open(source, newline="", encoding="utf-8") as fh:
+            try:
+                return read_csv(fh, header, field_error, convert)
+            except ValueError as exc:
+                raise ValueError(f"{source}: {exc}") from None
+    names = next(csv.reader(source), None)
+    names = None if names is None else [h.strip() for h in names]
+    if callable(header):
+        width = header(names)
+    elif names == header:
+        width = len(header)
+    else:
+        raise ValueError(f"expected header {','.join(header)}")
+    converted = []
+    for chunk in read_chunks(source, width, field_error):
+        converted.append(convert(chunk))
+        chunk.raise_first()
+    return converted
+
+
+def read_json(path, not_object: str) -> dict:
+    """The JSON object in the file at ``path``. A decode error, or a top
+    level that is not an object (refused with ``not_object``), names the
+    path."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # malformed JSON, or a byte that is not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: {not_object}")
+    return data
+
+
+def read_chunks(fh, width: int, field_error: str) -> Iterator[Chunk]:
     """Rows of ``fh``, a file (or stream) already past its header line, as
     :class:`Chunk` objects.
 
     Blank rows are dropped but counted in the line numbers (line 2 is the
     first row after the header; a row is a line until ``csv.reader`` takes
     over, which numbers rows). A row with a field count other than
-    ``width`` ends the stream: the rows before it come with checks that
-    already hold ``field_error(row)`` on the line after them.
+    ``width`` ends the stream: the rows before it come in a chunk that
+    already holds ``field_error`` on the line after them.
     """
     line, limit = 2, csv.field_size_limit()
     while True:
@@ -168,12 +207,12 @@ def read_chunks(fh, width: int, field_error: Callable[[list], str]) -> Iterator[
                                    field_error)
             return
         ends, indexed = clean
-        yield Chunk(width, RowChecks(range(line, line + len(batch))), text=text,
+        yield Chunk(width, range(line, line + len(batch)), text=text,
                     ends=ends if indexed else None)
         line += len(batch)
 
 
-def _csv_chunks(reader, line: int, width: int, field_error: Callable[[list], str]):
+def _csv_chunks(reader, line: int, width: int, field_error: str):
     """:func:`read_chunks` over the rows of a ``csv.reader``, the first
     numbered ``line``."""
     while True:
@@ -184,7 +223,7 @@ def _csv_chunks(reader, line: int, width: int, field_error: Callable[[list], str
         line += len(batch)
         sizes = set(map(len, batch))
         if sizes == {width}:
-            yield Chunk(width, RowChecks(lines), list(itertools.chain.from_iterable(batch)))
+            yield Chunk(width, lines, list(itertools.chain.from_iterable(batch)))
             continue
         rows, kept = [], []
         for k, row in enumerate(batch):
@@ -192,12 +231,13 @@ def _csv_chunks(reader, line: int, width: int, field_error: Callable[[list], str
                 continue
             kept.append(lines[k])
             if len(row) != width:
-                yield Chunk(width, RowChecks(kept, len(rows), field_error(row)),
-                            list(itertools.chain.from_iterable(rows)))
+                chunk = Chunk(width, kept, list(itertools.chain.from_iterable(rows)))
+                chunk.fail(len(rows), field_error.format(width=width, got=len(row)))
+                yield chunk
                 return
             rows.append(row)
         if rows:
-            yield Chunk(width, RowChecks(kept), list(itertools.chain.from_iterable(rows)))
+            yield Chunk(width, kept, list(itertools.chain.from_iterable(rows)))
 
 
 def int_array(values: Sequence[int]) -> np.ndarray:

@@ -11,12 +11,12 @@ take floats or numpy arrays; the point-object functions wrap them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .columns import read_json
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -303,12 +303,13 @@ def load_polygons(path) -> list[Polygon]:
     MultiPolygons are rejected rather than ignored. The boolean feature
     property ``los`` selects the label (missing defaults to LOS).
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or data.get("type") != "FeatureCollection":
-        raise ValueError("polygon file must be a GeoJSON FeatureCollection")
+    collection = "polygon file must be a GeoJSON FeatureCollection"
+    data = read_json(path, collection)
+    if data.get("type") != "FeatureCollection":
+        raise ValueError(f"{path}: {collection}")
     features = data.get("features", [])
     if not isinstance(features, list):
-        raise ValueError("polygon file: 'features' must be a list")
+        raise ValueError(f"{path}: 'features' must be a list")
     polygons = []
     for i, feature in enumerate(features):
         if not isinstance(feature, dict):

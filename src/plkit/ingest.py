@@ -8,17 +8,16 @@ one column per beam) and a per-cell scanner log. The beam-max selection
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .columns import Chunk, RowChecks, int_array, read_chunks, write_csv
+from .columns import Chunk, int_array, read_csv, read_json, write_csv
 from .geo import GeodeticPoint
 
 SOURCES = ("TESTBED", "SCANNER")
@@ -111,30 +110,29 @@ class ParseResult:
         """The table as MeasurementSample records, built on each access."""
         return list(self.table)
 
+    @classmethod
+    def concat(cls, parts: Sequence["ParseResult"]) -> "ParseResult":
+        return cls(SampleTable.concat([p.table for p in parts]), sum(p.rows for p in parts),
+                   sum(p.skipped for p in parts), sum(p.filtered for p in parts))
 
-def _open_stream(stream_or_path) -> tuple[IO, bool]:
-    if hasattr(stream_or_path, "read"):
-        return stream_or_path, False
-    return open(stream_or_path, newline="", encoding="utf-8"), True
 
-
-def _check_position(checks: RowChecks, rows, lat, lon) -> None:
+def _check_position(chunk: Chunk, rows, lat, lon) -> None:
     """What a GeodeticPoint checks, over the given rows."""
     lat_a, lon_a = np.array(lat, dtype=float), np.array(lon, dtype=float)
-    checks.check(~((lat_a >= -90.0) & (lat_a <= 90.0)),
-                 lambda k: f"latitude {lat[k]!r} outside [-90, 90]", rows)
-    checks.check(~((lon_a >= -180.0) & (lon_a <= 180.0)),
-                 lambda k: f"longitude {lon[k]!r} outside [-180, 180]", rows)
+    chunk.check(~((lat_a >= -90.0) & (lat_a <= 90.0)),
+                lambda k: f"latitude {lat[k]!r} outside [-90, 90]", rows)
+    chunk.check(~((lon_a >= -180.0) & (lon_a <= 180.0)),
+                lambda k: f"longitude {lon[k]!r} outside [-180, 180]", rows)
 
 
-def _check_sample(checks: RowChecks, rows, ts, power) -> None:
+def _check_sample(chunk: Chunk, rows, ts, power) -> None:
     """What a MeasurementSample checks, over the given rows (its source is
     the parser's own)."""
-    checks.check(~(int_array(ts) > 0),
-                 lambda k: f"timestamp_ms must be positive, got {ts[k]}", rows)
+    chunk.check(~(int_array(ts) > 0),
+                lambda k: f"timestamp_ms must be positive, got {ts[k]}", rows)
     p = np.array(power, dtype=float)
-    checks.check(~((p >= -160.0) & (p <= 0.0)),
-                 lambda k: f"received power {power[k]} dBm outside [-160, 0]", rows)
+    chunk.check(~((p >= -160.0) & (p <= 0.0)),
+                lambda k: f"received power {power[k]} dBm outside [-160, 0]", rows)
 
 
 def _sample_table(ts, lat, lon, rx, band: str, source: str, beam, cell) -> SampleTable:
@@ -157,7 +155,7 @@ def _strongest_beams(chunk: Chunk):
     n = len(received)
     r, c = np.nonzero(received)
     power = np.full(received.shape, -np.inf)
-    power[r, c] = chunk.checks.parse(float, chunk.take(r * chunk.width + 3 + c, strip=True), r)
+    power[r, c] = chunk.parse(float, chunk.take(r * chunk.width + 3 + c, strip=True), r)
     nan = np.isnan(power)
     power[nan] = -np.inf
     best = power.max(axis=1)
@@ -178,51 +176,44 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
     index); rows with no received beam at all are skipped and counted.
     A bad row is reported with its line number.
     """
-    fh, should_close = _open_stream(stream_or_path)
-    try:
-        header = next(csv.reader(fh), None)
-        if header is None:
+    beams = None  # the beam of each mrsrp_* column
+
+    def header(names: Optional[list[str]]) -> int:
+        nonlocal beams
+        if names is None:
             raise ValueError("empty log: missing header")
-        header = [h.strip() for h in header]
-        if header[:3] != ["timestamp_ms", "lat", "lon"]:
+        if names[:3] != ["timestamp_ms", "lat", "lon"]:
             raise ValueError("testbed log must start with timestamp_ms,lat,lon")
-        beams = []
-        for name in header[3:]:
+        ids = []
+        for name in names[3:]:
             if not name.startswith("mrsrp_"):
                 raise ValueError(f"unexpected column {name!r} in testbed log")
             try:
-                beams.append(int(name[len("mrsrp_"):]))
+                ids.append(int(name[len("mrsrp_"):]))
             except ValueError:
                 raise ValueError(f"bad beam column name {name!r}") from None
-        if not beams:
+        if not ids:
             raise ValueError("testbed log has no mrsrp_* columns")
-        beams = int_array(beams)
+        beams = int_array(ids)
+        return len(names)
 
-        width = len(header)
-        tables, rows, skipped = [], 0, 0
-        for chunk in read_chunks(
-            fh, width, lambda row: f"expected {width} fields, got {len(row)}"
-        ):
-            checks = chunk.checks
-            position = chunk.take(np.arange(chunk.rows)[:, None] * width + np.arange(3))
-            ts, lat, lon = (checks.parse(kind, position[j::3])
-                            for j, kind in enumerate((int, float, float)))
-            heard, power, column = _strongest_beams(chunk)
-            keep = np.flatnonzero(heard)
-            pick = keep.tolist()
-            ts, lat, lon = ([v[k] for k in pick] for v in (ts, lat, lon))
-            power = power[keep].tolist()
-            _check_position(checks, keep, lat, lon)
-            _check_sample(checks, keep, ts, power)
-            checks.raise_first()
-            rows += len(heard)
-            skipped += len(heard) - len(pick)
-            tables.append(_sample_table(ts, lat, lon, power, band, "TESTBED",
-                                        beams[column[keep]], np.full(len(pick), None)))
-        return ParseResult(SampleTable.concat(tables), rows=rows, skipped=skipped)
-    finally:
-        if should_close:
-            fh.close()
+    def convert(chunk: Chunk) -> ParseResult:
+        position = chunk.take(np.arange(chunk.rows)[:, None] * chunk.width + np.arange(3))
+        ts, lat, lon = (chunk.parse(kind, position[j::3])
+                        for j, kind in enumerate((int, float, float)))
+        heard, power, column = _strongest_beams(chunk)
+        keep = np.flatnonzero(heard)
+        pick = keep.tolist()
+        ts, lat, lon = ([v[k] for k in pick] for v in (ts, lat, lon))
+        power = power[keep].tolist()
+        _check_position(chunk, keep, lat, lon)
+        _check_sample(chunk, keep, ts, power)
+        table = _sample_table(ts, lat, lon, power, band, "TESTBED",
+                              beams[column[keep]], np.full(len(pick), None))
+        return ParseResult(table, rows=len(heard), skipped=len(heard) - len(pick))
+
+    return ParseResult.concat(read_csv(stream_or_path, header,
+                                       "expected {width} fields, got {got}", convert))
 
 
 SCANNER_HEADER = ["timestamp_ms", "lat", "lon", "cell_id", "rsrp_dbm"]
@@ -235,37 +226,28 @@ def parse_scanner_log(
     wanted = set(int(c) for c in cells_of_interest)
     if not wanted:
         warnings.warn("empty cells-of-interest set: every row will be filtered out")
-    fh, should_close = _open_stream(stream_or_path)
-    try:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip() for h in header] != SCANNER_HEADER:
-            raise ValueError(f"scanner log must have header {','.join(SCANNER_HEADER)}")
-        width = len(SCANNER_HEADER)
-        tables, rows, filtered = [], 0, 0
-        for chunk in read_chunks(fh, width, lambda row: f"expected {width} fields"):
-            checks = chunk.checks
-            # the other cells of a filtered row are never read
-            cell = checks.parse(int, chunk.take(np.arange(3, chunk.rows * width, width)))
-            keep = np.flatnonzero(np.fromiter(map(wanted.__contains__, cell), bool, len(cell)))
-            pick = keep.tolist()
-            kept = chunk.take(keep[:, None] * width + np.arange(width))
-            ts, lat, lon = (checks.parse(kind, kept[j::width], keep)
-                            for j, kind in enumerate((int, float, float)))
-            _check_position(checks, keep, lat, lon)
-            power = checks.parse(float, kept[4::width], keep)
-            _check_sample(checks, keep, ts, power)
-            checks.raise_first()
-            rows += len(cell)
-            filtered += len(cell) - len(pick)
-            tables.append(_sample_table(ts, lat, lon, power, band, "SCANNER",
-                                        np.full(len(pick), None), int_array([cell[k] for k in pick])))
-        result = ParseResult(SampleTable.concat(tables), rows=rows, filtered=filtered)
-        if not len(result.table):
-            warnings.warn("scanner log yielded no samples for the requested cells")
-        return result
-    finally:
-        if should_close:
-            fh.close()
+    width = len(SCANNER_HEADER)
+
+    def convert(chunk: Chunk) -> ParseResult:
+        # the other cells of a filtered row are never read
+        cell = chunk.parse(int, chunk.take(np.arange(3, chunk.rows * width, width)))
+        keep = np.flatnonzero(np.fromiter(map(wanted.__contains__, cell), bool, len(cell)))
+        pick = keep.tolist()
+        kept = chunk.take(keep[:, None] * width + np.arange(width))
+        ts, lat, lon = (chunk.parse(kind, kept[j::width], keep)
+                        for j, kind in enumerate((int, float, float)))
+        _check_position(chunk, keep, lat, lon)
+        power = chunk.parse(float, kept[4::width], keep)
+        _check_sample(chunk, keep, ts, power)
+        table = _sample_table(ts, lat, lon, power, band, "SCANNER",
+                              np.full(len(pick), None), int_array([cell[k] for k in pick]))
+        return ParseResult(table, rows=len(cell), filtered=len(cell) - len(pick))
+
+    result = ParseResult.concat(read_csv(stream_or_path, SCANNER_HEADER,
+                                         "expected {width} fields", convert))
+    if not len(result.table):
+        warnings.warn("scanner log yielded no samples for the requested cells")
+    return result
 
 
 @dataclass(frozen=True)
@@ -317,9 +299,7 @@ def load_site_config(path) -> SiteConfig:
     """Load and validate a site-config JSON document: every numeric field
     must convert to a finite float, and the pattern reference is a string."""
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: site config must be a JSON object")
+    data = read_json(path, "site config must be a JSON object")
     for key in _SITE_REQUIRED:
         if key not in data:
             raise ValueError(f"{path}: site config missing field {key!r}")
@@ -381,28 +361,31 @@ def write_samples_csv(samples: Union[SampleTable, Iterable[MeasurementSample]], 
     write_csv(path, SAMPLE_FIELDS, [getattr(samples, f.name) for f in fields(SampleTable)])
 
 
-def _optional_ints(checks: RowChecks, cells: list[str]) -> np.ndarray:
+def _optional_ints(chunk: Chunk, cells: list[str]) -> np.ndarray:
     """Object column: ``int`` of each non-empty cell, None for empty ones."""
     present = np.flatnonzero(np.fromiter(map(bool, cells), bool, len(cells)))
     column = np.full(len(cells), None, dtype=object)
-    column[present] = checks.parse(int, [cells[k] for k in present.tolist()], present)
+    column[present] = chunk.parse(int, [cells[k] for k in present.tolist()], present)
     return column
 
 
-def _read_sample_rows(cells: list[str], checks: RowChecks) -> SampleTable:
+def _read_sample_rows(chunk: Chunk) -> SampleTable:
     """The table of one chunk of sample-file rows, checked in the order a
     MeasurementSample built from each row checks them."""
     ts, lat, lon, alt, rx, band, source, beam, cell = (
-        cells[j::len(SAMPLE_FIELDS)] for j in range(len(SAMPLE_FIELDS)))
-    ts = checks.parse(int, ts)
-    lat, lon, alt = (checks.parse(float, c) for c in (lat, lon, alt))
-    _check_position(checks, None, lat, lon)
-    rx = checks.parse(float, rx)
-    beam, cell = _optional_ints(checks, beam), _optional_ints(checks, cell)
-    _check_sample(checks, None, ts, rx)
+        chunk.cells[j::len(SAMPLE_FIELDS)] for j in range(len(SAMPLE_FIELDS)))
+    ts = chunk.parse(int, ts)
+    lat, lon, alt = (chunk.parse(float, c) for c in (lat, lon, alt))
+    _check_position(chunk, None, lat, lon)
+    rx = chunk.parse(float, rx)
+    beam, cell = _optional_ints(chunk, beam), _optional_ints(chunk, cell)
+    _check_sample(chunk, None, ts, rx)
     # on the cells: a numpy string column drops trailing NULs
-    checks.check(~np.fromiter(map(SOURCES.__contains__, source), bool, len(source)),
-                 lambda k: f"source must be one of {SOURCES}, got {source[k]!r}")
+    chunk.check(~np.fromiter(map(SOURCES.__contains__, source), bool, len(source)),
+                lambda k: f"source must be one of {SOURCES}, got {source[k]!r}")
+    if "\0" in "".join(band):
+        chunk.check(np.fromiter(("\0" in b for b in band), bool, len(band)),
+                    lambda k: f"band must not hold a NUL, got {band[k]!r}")
     return SampleTable(int_array(ts), *(np.array(c, dtype=float) for c in (lat, lon, alt, rx)),
                        np.array(band, dtype=str), np.array(source, dtype=str), beam, cell)
 
@@ -410,15 +393,8 @@ def _read_sample_rows(cells: list[str], checks: RowChecks) -> SampleTable:
 def read_samples_csv(path) -> SampleTable:
     """Read the canonical sample CSV back as a SampleTable (iterating it
     yields the samples); a bad row is reported with its line number."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-        if header is None or [h.strip() for h in header] != SAMPLE_FIELDS:
-            raise ValueError(f"{path}: expected header {','.join(SAMPLE_FIELDS)}")
-        tables = []
-        for chunk in read_chunks(fh, len(SAMPLE_FIELDS), lambda row: "wrong field count"):
-            tables.append(_read_sample_rows(chunk.cells, chunk.checks))
-            chunk.checks.raise_first(f"{path}: ")
-    return SampleTable.concat(tables)
+    return SampleTable.concat(read_csv(path, SAMPLE_FIELDS, "wrong field count",
+                                       _read_sample_rows))
 
 
 @dataclass
@@ -449,9 +425,7 @@ def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
     the canonical sample CSV schema.
     """
     manifest_path = Path(manifest_path)
-    data = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{manifest_path}: manifest must be a JSON object")
+    data = read_json(manifest_path, "manifest must be a JSON object")
     entries = data.get("sessions")
     if not entries:
         raise ValueError(f"{manifest_path}: manifest lists no sessions")

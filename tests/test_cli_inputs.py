@@ -2,6 +2,7 @@
 an empty table or a NaN in a JSON artifact; explicit flags beat the
 config file."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from plkit.analysis import read_bins_csv, write_bins_csv
+from plkit.antenna import load_beamset
 from plkit.cli import main
 from plkit.geo import GridIndex, LocalPoint, bin_index, load_polygons
+from plkit.ingest import read_samples_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -327,3 +330,113 @@ class TestO2iFloors:
         assert [p.name for p in out.iterdir()] == ["o2i_A_floor2.csv"]
         assert (out / "o2i_A_floor2.csv").read_bytes() == (
             GOLDEN / "o2i" / "o2i_A_floor0.csv").read_bytes()
+
+
+def bad_line(src, dst, line, column, value):
+    """Copy the CSV ``src`` to ``dst`` with one cell of file line ``line``
+    replaced."""
+    lines = Path(src).read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells)
+    Path(dst).write_text("\n".join(lines) + "\n")
+    return dst
+
+
+SCANNER_LOG = ("timestamp_ms,lat,lon,cell_id,rsrp_dbm\n"
+               + "".join(f"{1000 * k},46.98{k},7.47,301,-80.5\n" for k in range(1, 6)))
+
+
+class TestRefusalsNameTheFile:
+    """A CSV or JSON input read by path is named in its refusal."""
+
+    def test_bin_over_two_logs_names_the_bad_one(self, tmp_path, capsys):
+        log = GOLDEN / "bin" / "testbed_log.csv"
+        good = bad_line(log, tmp_path / "a.csv", 2, 0, "1000")
+        bad = bad_line(log, tmp_path / "b.csv", 5, 0, "x")
+        out = tmp_path / "bins.csv"
+        args = ["bin", good, bad, "--site", GOLDEN / "bin" / "site.json",
+                "--pattern", GOLDEN / "bin" / "pattern.csv", "--out", out]
+        assert_exit_2(args, capsys, out,
+                      f"error: {bad}: line 5: invalid literal for int() with base 10: 'x'")
+
+    @pytest.mark.parametrize("text, message", [
+        (SCANNER_LOG.replace("-80.5\n", "x\n", 2), "line 2: could not convert string to float"),
+        ("timestamp_ms,lat,lon,rsrp_dbm\n1000,47,8,-80\n",
+         "expected header timestamp_ms,lat,lon,cell_id,rsrp_dbm"),
+    ], ids=["row", "header"])
+    def test_a_scanner_log_is_named(self, tmp_path, capsys, text, message):
+        log = tmp_path / "scan.csv"
+        log.write_text(text)
+        out = tmp_path / "bins.csv"
+        args = ["bin", log, "--source", "scanner", "--cells", "301",
+                "--site", GOLDEN / "bin" / "site.json",
+                "--pattern", GOLDEN / "bin" / "pattern.csv", "--out", out]
+        assert_exit_2(args, capsys, out, f"error: {log}: {message}")
+
+    @pytest.mark.parametrize("command", ["fit", "bin"])
+    def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path, capsys, command):
+        src = GOLDEN / "bin" / ("bins.csv" if command == "fit" else "testbed_log.csv")
+        path = tmp_path / "in.csv"
+        path.write_bytes(src.read_bytes().replace(b"\n", b"\n\xb5", 1))
+        out = tmp_path / "out.json"
+        args = [command, path, "--out", out]
+        if command == "bin":
+            args += ["--site", GOLDEN / "bin" / "site.json"]
+        assert_exit_2(args, capsys, out, f"error: {path}: 'utf-8' codec can't decode byte 0xb5")
+
+    def test_a_field_over_the_csv_limit_exits_2(self, tmp_path, capsys):
+        path = bad_line(GOLDEN / "bin" / "bins.csv", tmp_path / "bins.csv", 3, 9,
+                        "x" * (csv.field_size_limit() + 1))
+        out = tmp_path / "fit.json"
+        assert_exit_2(["fit", path, "--out", out], capsys, out,
+                      f"error: field larger than field limit ({csv.field_size_limit()})")
+
+    @pytest.mark.parametrize("flag", ["--polygons", "--site", "--config"])
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # the bin stage's clamping warnings
+    def test_malformed_json_names_its_file(self, tmp_path, capsys, flag):
+        path = tmp_path / "in.json"
+        path.write_text('{"type": "FeatureCollection",\n')
+        out = tmp_path / "bins.csv"
+        args = golden_bin_args(tmp_path, out)
+        if flag in args:
+            args[args.index(flag) + 1] = path
+        else:
+            args += [flag, path]
+        assert_exit_2(args, capsys, out, f"error: {path}: Expecting")
+
+    def test_a_malformed_o2i_manifest_names_its_file(self, tmp_path, capsys):
+        path = tmp_path / "o2i.json"
+        path.write_text('{"sessions": [')
+        out = tmp_path / "cdfs"
+        assert_exit_2(["o2i", path, "--out", out], capsys, out, f"error: {path}: Expecting")
+
+    def test_a_beam_set_manifest_must_be_an_object(self, tmp_path):
+        path = tmp_path / "beams.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError) as info:
+            load_beamset(path)
+        assert str(info.value) == f"{path}: beam-set manifest must be a JSON object"
+
+
+class TestBandCells:
+    """A NUL in a band cell, which a numpy string column would drop, is
+    refused with its line; checked after every other cell of a chunk."""
+
+    def test_bin_table(self, tmp_path):
+        path = bad_line(GOLDEN / "bin" / "bins.csv", tmp_path / "bins.csv", 3, 9, "x\0")
+        with pytest.raises(ValueError) as info:
+            read_bins_csv(path)
+        assert str(info.value) == f"{path}: line 3: band must not hold a NUL, got 'x\\x00'"
+        bad_line(path, path, 3, 8, "MAYBE")
+        with pytest.raises(ValueError, match="line 3: los must be one of"):
+            read_bins_csv(path)
+
+    def test_sample_file(self, tmp_path):
+        path = bad_line(GOLDEN / "o2i" / "indoor_A_f0.csv", tmp_path / "s.csv", 2, 5, "\0x\0")
+        with pytest.raises(ValueError) as info:
+            read_samples_csv(path)
+        assert str(info.value) == f"{path}: line 2: band must not hold a NUL, got '\\x00x\\x00'"
+        bad_line(path, path, 2, 6, "PHONE")
+        with pytest.raises(ValueError, match="line 2: source must be one of"):
+            read_samples_csv(path)
