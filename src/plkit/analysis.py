@@ -641,6 +641,21 @@ def _bins_from_arrays(
                     np.full(n, band), grid_size=grid_size)
 
 
+def _draws(distance_range_m: tuple[float, float], n: int, sigma_db: float, seed: int):
+    """``n`` log-uniform distances over the range, Gaussian shadowing
+    (sigma in dB) and uniform bearings, in that order from ``seed``."""
+    lo, hi = distance_range_m
+    if not (0 < lo < hi < math.inf):
+        raise ValueError(f"invalid distance range ({lo}, {hi})")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if sigma_db < 0:
+        raise ValueError("sigma_db must be >= 0")
+    rng = np.random.default_rng(seed)
+    distances = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+    return distances, rng.normal(0.0, sigma_db, n), rng.uniform(0.0, 360.0, n)
+
+
 def synthesize_samples(
     a0_db: float,
     gamma: float,
@@ -661,19 +676,10 @@ def synthesize_samples(
     Slant distances are log-uniform over the range, bearings uniform, and
     the Gaussian term is drawn in dB. Fully reproducible from the seed.
     """
-    lo, hi = distance_range_m
-    if not (0 < lo < hi):
-        raise ValueError(f"invalid distance range ({lo}, {hi})")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma_db < 0:
-        raise ValueError("sigma_db must be >= 0")
-    if lo <= abs(h_bs_m - h_ut_m):
+    d3d, shadow, bearings = _draws(distance_range_m, n, sigma_db, seed)
+    if distance_range_m[0] <= abs(h_bs_m - h_ut_m):
         raise ValueError("minimum distance must exceed the antenna height difference")
-    rng = np.random.default_rng(seed)
-    d3d = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
-    pl = a0_db + 10.0 * gamma * np.log10(d3d / d0_m) + rng.normal(0.0, sigma_db, n)
-    bearings = rng.uniform(0.0, 360.0, n)
+    pl = a0_db + 10.0 * gamma * np.log10(d3d / d0_m) + shadow
     return _bins_from_arrays(d3d, pl, bearings, h_bs_m, h_ut_m, origin, band, grid_size, los)
 
 
@@ -693,18 +699,9 @@ def synthesize_from_model(
     info = models.get_model(model_id)
     if info.evaluate is None:
         raise ValueError(f"{info.model_id} has free parameters; use synthesize_samples")
-    lo, hi = distance_range_m
-    if not (0 < lo < hi):
-        raise ValueError(f"invalid distance range ({lo}, {hi})")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if sigma_db < 0:
-        raise ValueError("sigma_db must be >= 0")
-    rng = np.random.default_rng(seed)
-    d2d = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), n)
+    d2d, shadow, bearings = _draws(distance_range_m, n, sigma_db, seed)
     d3d = np.hypot(d2d, template.h_bs_m - template.h_ut_m)
-    pl = info.evaluate(template.with_distances(d2d, d3d)) + rng.normal(0.0, sigma_db, n)
-    bearings = rng.uniform(0.0, 360.0, n)
+    pl = info.evaluate(template.with_distances(d2d, d3d)) + shadow
     return _bins_from_arrays(
         d3d, pl, bearings, template.h_bs_m, template.h_ut_m, origin, band, grid_size, los
     )

@@ -9,14 +9,13 @@ always latches onto the strongest beam.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .columns import read_csv, read_json, write_csv
+from .columns import read_csv, read_json, write_csv, write_json
 
 
 @dataclass
@@ -277,21 +276,33 @@ def save_beamset(beams: BeamSet, directory) -> Path:
         entries.append({"name": name, "file": fname})
     manifest = {"layout": {"rows": beams.rows, "cols": beams.cols}, "beams": entries}
     manifest_path = directory / "beams.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
 def load_beamset(manifest_path) -> BeamSet:
-    """Load a beam set from a JSON manifest naming per-beam CSV files."""
+    """Load a beam set from a JSON manifest naming per-beam CSV files:
+    ``{"layout": {"rows", "cols"}, "beams": [{"name", "file"}, ...]}``,
+    with file paths relative to the manifest. The manifest's shape is
+    checked before any beam file is read."""
     manifest_path = Path(manifest_path)
     data = read_json(manifest_path, "beam-set manifest must be a JSON object")
     layout = data.get("layout", {})
     entries = data.get("beams")
-    if not entries:
-        raise ValueError(f"{manifest_path}: manifest lists no beams")
+    if not (entries and isinstance(entries, list)):
+        raise ValueError(f"{manifest_path}: 'beams' must be a non-empty list, got {entries!r}")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
+            raise ValueError(f"{manifest_path}: beam {i} must be an object with a 'file' "
+                             f"path string, got {entry!r}")
+    try:
+        rows, cols = int(layout.get("rows", 1)), int(layout.get("cols", 0))
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        raise ValueError(f"{manifest_path}: 'layout' must be an object of integer rows and "
+                         f"cols, got {layout!r}") from None
     beams = []
     for entry in entries:
         pattern = load_pattern_csv(manifest_path.parent / entry["file"])
         pattern.name = entry.get("name", pattern.name)
         beams.append(pattern)
-    return BeamSet(beams, rows=int(layout.get("rows", 1)), cols=int(layout.get("cols", 0)))
+    return BeamSet(beams, rows=rows, cols=cols)

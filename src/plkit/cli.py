@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -22,78 +21,85 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, antenna, ingest, models
-from .columns import read_json, write_csv
+from .columns import read_json, write_csv, write_json
 from .geo import GeodeticPoint, load_polygons
 
 
-def _number(value) -> bool:
+def _float(value) -> float:
     """A JSON number, or a string ``float`` reads as a finite one (as in a site config)."""
     try:
-        return type(value) in (int, float) or isinstance(value, str) and math.isfinite(float(value))
-    except ValueError:
-        return False
+        if type(value) in (int, float) or isinstance(value, str) and math.isfinite(float(value)):
+            return float(value)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError("a number")
 
 
-# key: (what its value must be, whether a value is that)
-_PATH, _NUMBER = ("a path string", lambda v: isinstance(v, str)), ("a number", _number)
+def _whole(value) -> int:
+    """A number (by :func:`_float`'s rule) with no fractional part."""
+    number = _float(value)
+    if not number.is_integer():
+        raise ValueError("a whole number")
+    return value if type(value) is int else int(number)
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("a path string")
+    return value
+
+
+def _models(value) -> str:
+    """The ``--models`` form: a comma-separated string, a list joined into one."""
+    if isinstance(value, list) and all(isinstance(m, str) for m in value):
+        return ",".join(value)
+    if not isinstance(value, str):
+        raise ValueError("a string or a list of strings")
+    return value
+
+
+# key: its value's rule, which converts the value or names what it must be
 CONFIG_KEYS = {
-    "site": _PATH, "pattern": _PATH, "polygons": _PATH, "exclusion_mask": _PATH,
-    "grid_size": _NUMBER, "d0": _NUMBER, "min_d": _NUMBER, "max_d": _NUMBER,
-    "models": ("a string or a list of strings", lambda v: isinstance(v, str) or (
-        isinstance(v, list) and all(isinstance(m, str) for m in v))),
-    "output_dir": _PATH, "seed": _NUMBER,
+    "site": _path, "pattern": _path, "polygons": _path, "exclusion_mask": _path,
+    "grid_size": _float, "d0": _float, "min_d": _float, "max_d": _float,
+    "models": _models, "output_dir": _path, "seed": _whole,
 }
 
 
 def _load_config(path) -> dict:
+    """The config file's values, each converted by its key's rule, by the
+    dest of the option it sets (``output_dir`` sets ``--out``)."""
     data = read_json(path, "config must be a JSON object")
     unknown = set(data) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+    defaults = {}
     for key, value in data.items():
-        kind, check = CONFIG_KEYS[key]
-        if not check(value):
-            raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
-    return data
+        try:
+            defaults["out" if key == "output_dir" else key] = CONFIG_KEYS[key](value)
+        except ValueError as kind:
+            raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}") from None
+    return defaults
 
 
-def _opt(args, name, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", None) or {}
-    if name in config:
-        return config[name]
-    return default
-
-
-def _geometry_from_args(args, bins=None) -> models.LinkGeometry:
-    """Link-geometry template for model evaluation, from --site or flags."""
-    freq = args.freq
-    h_bs = args.h_bs
-    h_ut = args.h_ut
-    site_path = _opt(args, "site")
-    if site_path:
-        site = ingest.load_site_config(site_path)
-        freq = freq if freq is not None else site.carrier_freq_ghz
-        h_bs = h_bs if h_bs is not None else site.antenna_height_agl_m
-        h_ut = h_ut if h_ut is not None else site.ue_height_m
-    freq = freq if freq is not None else 3.55
-    h_bs = h_bs if h_bs is not None else 25.0
-    h_ut = h_ut if h_ut is not None else 1.5
-    d_ref = bins.d2d_m[0].item() if bins is not None and len(bins) else 1000.0
-    return models.LinkGeometry.at(
-        d_ref, freq, h_bs, h_ut,
-        avg_building_height_m=args.avg_building_height if args.avg_building_height is not None else 5.0,
-        avg_street_width_m=args.avg_street_width if args.avg_street_width is not None else 20.0,
-    )
+def _link(args, site: ingest.SiteConfig | None = None) -> dict:
+    """``LinkGeometry`` keywords for the link flags: each value from its
+    flag, else from ``site``, else its default (LinkGeometry's for the
+    clutter terms)."""
+    link = ({"f_ghz": 3.55, "h_bs_m": 25.0, "h_ut_m": 1.5} if site is None else
+            {"f_ghz": site.carrier_freq_ghz, "h_bs_m": site.antenna_height_agl_m,
+             "h_ut_m": site.ue_height_m})
+    flags = {"f_ghz": args.freq, "h_bs_m": args.h_bs, "h_ut_m": args.h_ut,
+             "avg_building_height_m": args.avg_building_height,
+             "avg_street_width_m": args.avg_street_width}
+    link.update((key, value) for key, value in flags.items() if value is not None)
+    return link
 
 
 def cmd_models(args) -> int:
     catalog = models.catalog_json()
     if args.out:
-        Path(args.out).write_text(json.dumps(catalog, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+        write_json(args.out, catalog)
         print(f"wrote {args.out} ({len(catalog)} models)")
     else:
         for entry in catalog:
@@ -107,53 +113,40 @@ def cmd_models(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    seed = int(_opt(args, "seed", 0))
-    grid_size = float(_opt(args, "grid_size", 5.0))
-    d0 = float(_opt(args, "d0", 100.0))
     origin = GeodeticPoint(args.lat, args.lon)
-    a0 = args.a0 if args.a0 is not None else models.fspl_db(d0, args.freq)
-
+    link = _link(args)
+    a0 = args.a0 if args.a0 is not None else models.fspl_db(args.d0, link["f_ghz"])
     if args.model:
-        template = models.LinkGeometry.at(
-            args.d_min, args.freq, args.h_bs, args.h_ut,
-            avg_building_height_m=args.avg_building_height if args.avg_building_height is not None else 5.0,
-            avg_street_width_m=args.avg_street_width if args.avg_street_width is not None else 20.0,
-        )
         bins = analysis.synthesize_from_model(
-            args.model, template, args.sigma, args.n, (args.d_min, args.d_max),
-            seed, origin=origin, band=args.band, grid_size=grid_size,
-            los=args.los.upper(),
+            args.model, models.LinkGeometry.at(args.d_min, **link), args.sigma, args.n,
+            (args.d_min, args.d_max), args.seed, origin=origin, band=args.band,
+            grid_size=args.grid_size, los=args.los.upper(),
         )
     else:
         bins = analysis.synthesize_samples(
-            a0, args.gamma, args.sigma, d0, args.n, (args.d_min, args.d_max),
-            seed, h_bs_m=args.h_bs, h_ut_m=args.h_ut, origin=origin,
-            band=args.band, grid_size=grid_size, los=args.los.upper(),
+            a0, args.gamma, args.sigma, args.d0, args.n, (args.d_min, args.d_max),
+            args.seed, h_bs_m=link["h_bs_m"], h_ut_m=link["h_ut_m"], origin=origin,
+            band=args.band, grid_size=args.grid_size, los=args.los.upper(),
         )
 
     if args.emit == "bins":
         analysis.write_bins_csv(bins, args.out)
-        print(f"wrote {args.out}: {len(bins)} synthetic bins (seed {seed})")
+        print(f"wrote {args.out}: {len(bins)} synthetic bins (seed {args.seed})")
         return 0
 
     # emit a raw testbed log plus the matching site/pattern files, so the
-    # full bin -> fit -> compare chain can run on synthetic data
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    pattern = antenna.isotropic(0.0)
-    pattern_path = out_dir / "pattern.csv"
-    antenna.save_pattern_csv(pattern, pattern_path)
+    # full bin -> fit -> compare chain can run on synthetic data; every
+    # check runs before the first file is written
     site = ingest.SiteConfig(
         site_position=origin,
-        antenna_height_agl_m=args.h_bs,
+        antenna_height_agl_m=link["h_bs_m"],
         boresight_azimuth_deg=0.0,
         tx_power_dbm=args.tx_power,
-        carrier_freq_ghz=args.freq,
+        carrier_freq_ghz=link["f_ghz"],
         pattern_ref="pattern.csv",
         rx_gain_dbi=args.rx_gain,
-        ue_height_m=args.h_ut,
+        ue_height_m=link["h_ut_m"],
     )
-    ingest.save_site_config(site, out_dir / "site.json")
     rx = site.tx_power_dbm + site.rx_gain_dbi - bins.pl_db
     out_of_range = ~((rx >= -160.0) & (rx <= 0.0))
     if out_of_range.any():
@@ -161,6 +154,11 @@ def cmd_synth(args) -> int:
             f"synthetic received power {rx[out_of_range][0]:.1f} dBm out of range; "
             "adjust --tx-power or the loss parameters"
         )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    pattern_path = out_dir / "pattern.csv"
+    antenna.save_pattern_csv(antenna.isotropic(0.0), pattern_path)
+    ingest.save_site_config(site, out_dir / "site.json")
     # one sample per bin, received on the first of 48 beams
     log_path = out_dir / "testbed_log.csv"
     header = ["timestamp_ms", "lat", "lon"] + [f"mrsrp_{i:02d}" for i in range(48)]
@@ -168,23 +166,18 @@ def cmd_synth(args) -> int:
     write_csv(log_path, header,
               [1000 * np.arange(1, len(bins) + 1), bins.lat, bins.lon, rx] + [unheard] * 47)
     print(f"wrote {log_path}, {out_dir / 'site.json'}, {pattern_path} "
-          f"({len(bins)} samples, seed {seed})")
+          f"({len(bins)} samples, seed {args.seed})")
     return 0
 
 
 def cmd_bin(args) -> int:
-    site_path = _opt(args, "site")
-    if not site_path:
+    if not args.site:
         raise ValueError("a site config is required (--site or config file)")
-    site = ingest.load_site_config(site_path)
-    pattern_path = _opt(args, "pattern")
-    if not pattern_path:
-        pattern_path = Path(site_path).parent / site.pattern_ref
+    site = ingest.load_site_config(args.site)
     pattern = antenna.load_pattern_csv(
-        pattern_path,
+        args.pattern or Path(args.site).parent / site.pattern_ref,
         boresight_azimuth=site.boresight_azimuth_deg,
     )
-    grid_size = float(_opt(args, "grid_size", 5.0))
 
     if args.source == "testbed":
         results = [ingest.parse_testbed_log(p, band=args.band or "3.5GHz") for p in args.logs]
@@ -200,15 +193,13 @@ def cmd_bin(args) -> int:
         raise ValueError("no samples")
 
     origin = site.site_position
-    bins = analysis.aggregate_bins(samples, origin, grid_size)
+    bins = analysis.aggregate_bins(samples, origin, args.grid_size)
     bins = analysis.extract_path_loss(bins, site, pattern, band=samples.band[0].item())
 
-    polygons_path = _opt(args, "polygons")
-    if polygons_path:
-        bins = analysis.classify_los(bins, load_polygons(polygons_path), origin)
-    mask_path = _opt(args, "exclusion_mask")
-    if mask_path:
-        bins = analysis.apply_exclusion_mask(bins, load_polygons(mask_path), origin)
+    if args.polygons:
+        bins = analysis.classify_los(bins, load_polygons(args.polygons), origin)
+    if args.exclusion_mask:
+        bins = analysis.apply_exclusion_mask(bins, load_polygons(args.exclusion_mask), origin)
     if not len(bins):
         raise ValueError("no bins left after extraction/masking")
 
@@ -216,7 +207,7 @@ def cmd_bin(args) -> int:
     print(f"samples: {len(samples)} (rows {parsed.rows}, "
           f"skipped {parsed.skipped}, filtered {parsed.filtered})")
     print(f"bins: {len(bins)}")
-    if polygons_path:
+    if args.polygons:
         los_weighted = int(bins.count[bins.los == "LOS"].sum())
         print(f"LOS fraction: {los_weighted / int(bins.count.sum()):.2f}")
     print(f"distance range: {bins.d3d_m.min():.1f} - {bins.d3d_m.max():.1f} m")
@@ -233,25 +224,22 @@ def _filter_split(bins: analysis.BinTable, split: str) -> analysis.BinTable:
 
 
 def cmd_fit(args) -> int:
-    bins = analysis.read_bins_csv(args.bins, grid_size=float(_opt(args, "grid_size", 5.0)))
+    bins = analysis.read_bins_csv(args.bins, grid_size=args.grid_size)
     bins = _filter_split(bins, args.split)
     if not len(bins):
         raise ValueError(f"no bins with label {args.split!r}")
-    d0 = float(_opt(args, "d0", 100.0))
-    min_d = _opt(args, "min_d")
-    max_d = _opt(args, "max_d")
     fit = analysis.fit_log_distance(
         bins,
-        d0_m=d0,
-        min_d_m=float(min_d) if min_d is not None else None,
-        max_d_m=float(max_d) if max_d is not None else None,
+        d0_m=args.d0,
+        min_d_m=args.min_d,
+        max_d_m=args.max_d,
         use_2d=args.distance == "2d",
         pin_a0_db=args.pin_a0,
     )
     doc = fit.to_json_dict()
     doc["split"] = args.split
     doc["distance"] = args.distance
-    Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    write_json(args.out, doc)
     print(f"fit ({args.split}, {args.distance}): a0={fit.a0_db:.2f} dB "
           f"gamma={fit.gamma:.2f} sigma={fit.sigma_db:.2f} dB n={fit.n_bins}")
     print(f"wrote {args.out}")
@@ -259,20 +247,18 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    bins = analysis.read_bins_csv(args.bins, grid_size=float(_opt(args, "grid_size", 5.0)))
+    bins = analysis.read_bins_csv(args.bins, grid_size=args.grid_size)
     if not len(bins):
         raise ValueError("empty bin table")
-    model_ids = _opt(args, "models")
-    if isinstance(model_ids, str):
-        model_ids = [m.strip().upper() for m in model_ids.split(",") if m.strip()]
+    model_ids = [m.strip().upper() for m in (args.models or "").split(",") if m.strip()]
     if not model_ids:
         model_ids = models.comparable_models()
     if args.curve_points < 1:
         raise ValueError("--curve-points must be >= 1")
-    out_dir = args.out or _opt(args, "output_dir")
-    if not out_dir:
+    if not args.out:
         raise ValueError("an output directory is required (--out or output_dir in the config)")
-    template = _geometry_from_args(args, bins)
+    site = ingest.load_site_config(args.site) if args.site else None
+    template = models.LinkGeometry.at(bins.d2d_m[0].item(), **_link(args, site))
     if any(m.startswith("TR38901_RMA") for m in model_ids) and (
         args.avg_building_height is None or args.avg_street_width is None
     ):
@@ -302,10 +288,10 @@ def cmd_compare(args) -> int:
         stats.append(entry)
     stats.sort(key=lambda e: e["rmse"])
 
-    out_dir = Path(out_dir)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     errors_path = out_dir / "errors.json"
-    errors_path.write_text(json.dumps(stats, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    write_json(errors_path, stats)
 
     sweep = np.geomspace(links.d2d_m.min(), links.d2d_m.max(), args.curve_points)
     sweep[-1] = links.d2d_m.max()
@@ -328,15 +314,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_offset(args) -> int:
-    grid_size = float(_opt(args, "grid_size", 5.0))
-    bins_high = analysis.read_bins_csv(args.bins_high, grid_size=grid_size)
-    bins_low = analysis.read_bins_csv(args.bins_low, grid_size=grid_size)
+    bins_high = analysis.read_bins_csv(args.bins_high, grid_size=args.grid_size)
+    bins_low = analysis.read_bins_csv(args.bins_low, grid_size=args.grid_size)
     pairs = analysis.pair_bins_by_index(bins_high, bins_low)
     if not len(pairs):
         raise ValueError("the two bin tables share no grid cells")
     offset, sigma = analysis.frequency_offset(pairs)
     doc = {"offset_db": offset, "sigma_db": sigma, "n_pairs": len(pairs)}
-    Path(args.out).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    write_json(args.out, doc)
     print(f"offset: {offset:.2f} dB (sigma {sigma:.2f} dB, {len(pairs)} paired bins)")
     print(f"wrote {args.out}")
     return 0
@@ -366,38 +351,41 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, summary, config=True):
+    def add(name, func, summary, config=True, grid_size=True):
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         if command not in (None, name):  # another command runs: drop these arguments unbuilt
             return SimpleNamespace(add_argument=lambda *args, **kwargs: None)
         if config:
             p.add_argument("--config", help="JSON config file; explicit flags win")
+        if grid_size:
+            p.add_argument("--grid-size", dest="grid_size", type=float, default=5.0)
         return p
+
+    d0 = {"type": float, "default": 100.0}
 
     p = add("synth", cmd_synth, "generate synthetic bins or a synthetic testbed log")
     p.add_argument("--emit", choices=["bins", "log"], default="bins")
     p.add_argument("--out", required=True,
                    help="bin CSV path (emit=bins) or output directory (emit=log)")
     p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d-min", dest="d_min", type=float, default=100.0)
     p.add_argument("--d-max", dest="d_max", type=float, default=2000.0)
     p.add_argument("--a0", type=float, default=None,
                    help="reference loss at d0 (default: free-space at d0)")
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--d0", type=float, default=None)
+    p.add_argument("--d0", **d0)
     p.add_argument("--model", default=None,
                    help="draw the mean loss from a catalog model instead of a0/gamma")
-    p.add_argument("--freq", type=float, default=3.55)
-    p.add_argument("--h-bs", dest="h_bs", type=float, default=25.0)
-    p.add_argument("--h-ut", dest="h_ut", type=float, default=1.5)
+    p.add_argument("--freq", type=float, default=None)
+    p.add_argument("--h-bs", dest="h_bs", type=float, default=None)
+    p.add_argument("--h-ut", dest="h_ut", type=float, default=None)
     p.add_argument("--avg-building-height", type=float, default=None)
     p.add_argument("--avg-street-width", type=float, default=None)
     p.add_argument("--band", default="3.5GHz")
     p.add_argument("--los", choices=["unknown", "los", "nlos"], default="unknown")
-    p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
     p.add_argument("--lat", type=float, default=47.0)
     p.add_argument("--lon", type=float, default=8.0)
     p.add_argument("--tx-power", dest="tx_power", type=float, default=43.0)
@@ -414,19 +402,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--source", choices=["testbed", "scanner"], default="testbed")
     p.add_argument("--cells", default=None, help="scanner cells of interest, e.g. 301,302")
     p.add_argument("--band", default=None)
-    p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
     p.add_argument("--out", required=True)
 
     p = add("fit", cmd_fit, "log-distance regression on a bin table")
     p.add_argument("bins", help="bin table CSV")
-    p.add_argument("--d0", type=float, default=None)
+    p.add_argument("--d0", **d0)
     p.add_argument("--min-d", dest="min_d", type=float, default=None)
     p.add_argument("--max-d", dest="max_d", type=float, default=None)
     p.add_argument("--split", choices=["all", "los", "nlos"], default="all")
     p.add_argument("--distance", choices=["2d", "3d"], default="3d")
     p.add_argument("--pin-a0", dest="pin_a0", type=float, default=None,
                    help="fix the intercept instead of estimating it")
-    p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
     p.add_argument("--out", required=True)
 
     p = add("compare", cmd_compare, "model error statistics and plot curves")
@@ -440,21 +426,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--avg-building-height", type=float, default=None)
     p.add_argument("--avg-street-width", type=float, default=None)
     p.add_argument("--curve-points", dest="curve_points", type=int, default=200)
-    p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
     p.add_argument("--out", default=None,
                    help="output directory (default: the config's output_dir)")
 
     p = add("offset", cmd_offset, "band-to-band path-loss offset on shared bins")
     p.add_argument("bins_high", help="bin table of the higher band")
     p.add_argument("bins_low", help="bin table of the lower band")
-    p.add_argument("--grid-size", dest="grid_size", type=float, default=None)
     p.add_argument("--out", required=True)
 
-    p = add("o2i", cmd_o2i, "outdoor-to-indoor penetration CDFs")
+    p = add("o2i", cmd_o2i, "outdoor-to-indoor penetration CDFs", grid_size=False)
     p.add_argument("manifest", help="indoor session manifest JSON")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = add("models", cmd_models, "dump the model catalog", config=False)
+    p = add("models", cmd_models, "dump the model catalog", config=False, grid_size=False)
     p.add_argument("--out", default=None, help="write JSON here instead of printing")
 
     return parser
@@ -466,8 +450,9 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and not argv[0].startswith("-") else None)
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args._config = _load_config(args.config)
+        if getattr(args, "config", None):  # its values become the command's defaults
+            args.parser.set_defaults(**_load_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,8 @@ that answer when its conversions and checks are made in the order a
 row-by-row pass makes them, and :func:`read_csv` raises it after the
 chunk's conversion (earlier chunks were clean).
 
-:func:`read_json` reads a JSON object, naming its file when it cannot.
+:func:`read_json` reads a JSON object, naming its file when it cannot;
+:func:`write_json` writes a JSON document, refusing NaN and infinity.
 :func:`write_csv` writes columns back with one format string per table,
 cell for cell as ``csv.writer`` writes the rows.
 """
@@ -183,6 +184,12 @@ def read_json(path, not_object: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: {not_object}")
     return data
+
+
+def write_json(path, data) -> None:
+    """Write ``data`` as indented JSON and a final newline; a NaN or an
+    infinity, which JSON cannot hold, is refused before the file opens."""
+    Path(path).write_text(json.dumps(data, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def read_chunks(fh, width: int, field_error: str) -> Iterator[Chunk]:

@@ -8,7 +8,6 @@ one column per beam) and a per-cell scanner log. The beam-max selection
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -17,7 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .columns import Chunk, int_array, read_csv, read_json, write_csv
+from .columns import Chunk, int_array, read_csv, read_json, write_csv, write_json
 from .geo import GeodeticPoint
 
 SOURCES = ("TESTBED", "SCANNER")
@@ -345,7 +344,7 @@ def save_site_config(site: SiteConfig, path) -> None:
         "ue_height_m": site.ue_height_m,
         "feeder_loss_db": site.feeder_loss_db,
     }
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    write_json(path, data)
 
 
 SAMPLE_FIELDS = [

@@ -440,3 +440,41 @@ class TestBandCells:
         bad_line(path, path, 2, 6, "PHONE")
         with pytest.raises(ValueError, match="line 2: source must be one of"):
             read_samples_csv(path)
+
+
+class TestSynthInputs:
+    @pytest.mark.parametrize("model", [[], ["--model", "FSPL"]], ids=["law", "model"])
+    def test_an_infinite_distance_range_exits_2(self, tmp_path, capsys, model):
+        out = tmp_path / "bins.csv"
+        assert_exit_2(["synth", "--n", 50, "--d-max", "inf", "--out", out] + model, capsys, out,
+                      "invalid distance range (100.0, inf)")
+
+    @pytest.mark.parametrize("flags", [["--rx-gain", "nan"], ["--tx-power", "nan"],
+                                       ["--h-ut", "-1"], ["--tx-power", "90", "--gamma", "0.5"]])
+    def test_emit_log_writes_nothing_before_its_checks(self, tmp_path, capsys, flags):
+        out = tmp_path / "demo"
+        assert run(["synth", "--emit", "log", "--n", 50, "--out", out] + flags) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestBeamSetManifests:
+    @pytest.mark.parametrize("doc, message", [
+        ({"beams": [{"name": "b0"}]}, "beam 0 must be an object with a 'file' path string"),
+        ({"beams": [{"file": "b0.csv"}, "b1.csv"]},
+         "beam 1 must be an object with a 'file' path string"),
+        ({"beams": [{"file": 5}]}, "beam 0 must be an object with a 'file' path string"),
+        ({"beams": {"b0": {"file": "b0.csv"}}}, "'beams' must be a non-empty list"),
+        ({"beams": []}, "'beams' must be a non-empty list"),
+        ({"layout": [3, 16], "beams": [{"file": "b0.csv"}]},
+         "'layout' must be an object of integer rows and cols"),
+        ({"layout": {"rows": None}, "beams": [{"file": "b0.csv"}]},
+         "'layout' must be an object of integer rows and cols"),
+    ])
+    def test_a_malformed_manifest_is_refused_before_any_beam_loads(self, tmp_path, doc,
+                                                                   message):
+        path = tmp_path / "beams.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_beamset(path)  # b0.csv does not exist: no beam file was opened
+        assert str(info.value).startswith(f"{path}: {message}")
