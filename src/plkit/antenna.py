@@ -235,9 +235,8 @@ def load_pattern_csv(
     """Read a pattern CSV (header azimuth_deg,elevation_deg,gain_dbi), one
     row per grid node; a node given twice is rejected with its line."""
     path = Path(path)
-    chunks = read_csv(path, PATTERN_FIELDS, "expected {width} fields",
-                      lambda chunk: [chunk.lines] + [chunk.parse(float, chunk.cells[j::3])
-                                                     for j in range(3)])
+    chunks = read_csv(path, PATTERN_FIELDS, "expected {width} fields", lambda chunk: [
+        chunk.lines, *(np.array(chunk.parse(float, chunk.cells[j::3])) for j in range(3))])
     if not chunks:
         raise ValueError(f"{path}: empty pattern file")
     lines, *columns = zip(*chunks)
@@ -295,11 +294,14 @@ def load_beamset(manifest_path) -> BeamSet:
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
             raise ValueError(f"{manifest_path}: beam {i} must be an object with a 'file' "
                              f"path string, got {entry!r}")
-    try:
-        rows, cols = int(layout.get("rows", 1)), int(layout.get("cols", 0))
+    try:  # each an int, an integral float or a string int() reads, such as "2"
+        rows, cols = (int(v) for v in (layout.get("rows", 1), layout.get("cols", 0))
+                      if not isinstance(v, bool) and int(v) == float(v))
     except (AttributeError, TypeError, ValueError, OverflowError):
+        rows = cols = None
+    if rows is None or rows < 1 or cols < 0 or rows * (cols or len(entries)) != len(entries):
         raise ValueError(f"{manifest_path}: 'layout' must be an object of integer rows and "
-                         f"cols, got {layout!r}") from None
+                         f"cols with rows x cols = {len(entries)} beams, got {layout!r}")
     beams = []
     for entry in entries:
         pattern = load_pattern_csv(manifest_path.parent / entry["file"])

@@ -115,7 +115,6 @@ def cmd_models(args) -> int:
 def cmd_synth(args) -> int:
     origin = GeodeticPoint(args.lat, args.lon)
     link = _link(args)
-    a0 = args.a0 if args.a0 is not None else models.fspl_db(args.d0, link["f_ghz"])
     if args.model:
         bins = analysis.synthesize_from_model(
             args.model, models.LinkGeometry.at(args.d_min, **link), args.sigma, args.n,
@@ -123,6 +122,7 @@ def cmd_synth(args) -> int:
             grid_size=args.grid_size, los=args.los.upper(),
         )
     else:
+        a0 = args.a0 if args.a0 is not None else models.fspl_db(args.d0, link["f_ghz"])
         bins = analysis.synthesize_samples(
             a0, args.gamma, args.sigma, args.d0, args.n, (args.d_min, args.d_max),
             args.seed, h_bs_m=link["h_bs_m"], h_ut_m=link["h_ut_m"], origin=origin,

@@ -80,8 +80,9 @@ class SampleTable:
 
     @classmethod
     def concat(cls, tables: Sequence["SampleTable"]) -> "SampleTable":
-        if not tables:
-            return cls.from_samples([])
+        """The tables one after another; a single table comes back as is."""
+        if len(tables) < 2:
+            return tables[0] if tables else cls.from_samples([])
         return cls(*(np.concatenate([getattr(t, f.name) for t in tables])
                      for f in fields(cls)))
 
@@ -111,6 +112,7 @@ class ParseResult:
 
     @classmethod
     def concat(cls, parts: Sequence["ParseResult"]) -> "ParseResult":
+        """The parts one after another; a single part's table comes back as is."""
         return cls(SampleTable.concat([p.table for p in parts]), sum(p.rows for p in parts),
                    sum(p.skipped for p in parts), sum(p.filtered for p in parts))
 
@@ -134,11 +136,18 @@ def _check_sample(chunk: Chunk, rows, ts, power) -> None:
                 lambda k: f"received power {power[k]} dBm outside [-160, 0]", rows)
 
 
-def _sample_table(ts, lat, lon, rx, band: str, source: str, beam, cell) -> SampleTable:
-    n = len(rx)
-    return SampleTable(int_array(ts), np.array(lat, dtype=float), np.array(lon, dtype=float),
-                       np.zeros(n), np.array(rx, dtype=float), np.full(n, band),
-                       np.full(n, source), beam, cell)
+def _join(parts: list, band: str, source: str, dropped: str) -> ParseResult:
+    """A log's result from its chunks' row counts and kept (ts, lat, lon, rx,
+    beam or cell id) columns; the columns all its samples share are built once."""
+    if not parts:
+        return ParseResult(SampleTable.from_samples([]))
+    rows, *columns = zip(*parts)
+    ts, lat, lon, rx, ids = (np.concatenate(c) for c in columns)
+    n, unset = len(rx), np.full(len(rx), None)
+    beam, cell = (ids, unset) if source == "TESTBED" else (unset, ids)
+    table = SampleTable(ts, lat, lon, np.zeros(n), rx, np.full(n, band), np.full(n, source),
+                        beam, cell)
+    return ParseResult(table, sum(rows), **{dropped: sum(rows) - n})
 
 
 def _strongest_beams(chunk: Chunk):
@@ -196,7 +205,7 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
         beams = int_array(ids)
         return len(names)
 
-    def convert(chunk: Chunk) -> ParseResult:
+    def convert(chunk: Chunk) -> tuple:
         position = chunk.take(np.arange(chunk.rows)[:, None] * chunk.width + np.arange(3))
         ts, lat, lon = (chunk.parse(kind, position[j::3])
                         for j, kind in enumerate((int, float, float)))
@@ -207,12 +216,11 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
         power = power[keep].tolist()
         _check_position(chunk, keep, lat, lon)
         _check_sample(chunk, keep, ts, power)
-        table = _sample_table(ts, lat, lon, power, band, "TESTBED",
-                              beams[column[keep]], np.full(len(pick), None))
-        return ParseResult(table, rows=len(heard), skipped=len(heard) - len(pick))
+        return (len(heard), int_array(ts), *(np.array(c, dtype=float) for c in (lat, lon, power)),
+                beams[column[keep]])
 
-    return ParseResult.concat(read_csv(stream_or_path, header,
-                                       "expected {width} fields, got {got}", convert))
+    return _join(read_csv(stream_or_path, header, "expected {width} fields, got {got}", convert),
+                 band, "TESTBED", "skipped")
 
 
 SCANNER_HEADER = ["timestamp_ms", "lat", "lon", "cell_id", "rsrp_dbm"]
@@ -227,7 +235,7 @@ def parse_scanner_log(
         warnings.warn("empty cells-of-interest set: every row will be filtered out")
     width = len(SCANNER_HEADER)
 
-    def convert(chunk: Chunk) -> ParseResult:
+    def convert(chunk: Chunk) -> tuple:
         # the other cells of a filtered row are never read
         cell = chunk.parse(int, chunk.take(np.arange(3, chunk.rows * width, width)))
         keep = np.flatnonzero(np.fromiter(map(wanted.__contains__, cell), bool, len(cell)))
@@ -238,12 +246,11 @@ def parse_scanner_log(
         _check_position(chunk, keep, lat, lon)
         power = chunk.parse(float, kept[4::width], keep)
         _check_sample(chunk, keep, ts, power)
-        table = _sample_table(ts, lat, lon, power, band, "SCANNER",
-                              np.full(len(pick), None), int_array([cell[k] for k in pick]))
-        return ParseResult(table, rows=len(cell), filtered=len(cell) - len(pick))
+        return (len(cell), int_array(ts), *(np.array(c, dtype=float) for c in (lat, lon, power)),
+                int_array([cell[k] for k in pick]))
 
-    result = ParseResult.concat(read_csv(stream_or_path, SCANNER_HEADER,
-                                         "expected {width} fields", convert))
+    result = _join(read_csv(stream_or_path, SCANNER_HEADER, "expected {width} fields", convert),
+                   band, "SCANNER", "filtered")
     if not len(result.table):
         warnings.warn("scanner log yielded no samples for the requested cells")
     return result

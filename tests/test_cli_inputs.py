@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from plkit.analysis import read_bins_csv, write_bins_csv
-from plkit.antenna import load_beamset
+from plkit.antenna import load_beamset, save_beamset, synthetic_aas_beamset
 from plkit.cli import main
 from plkit.geo import GridIndex, LocalPoint, bin_index, load_polygons
 from plkit.ingest import read_samples_csv
@@ -457,6 +457,13 @@ class TestSynthInputs:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_a_model_run_ignores_d0(self, tmp_path):
+        """--d0 sets only the log-distance law's reference distance."""
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        assert run(["synth", "--model", "FSPL", "--n", 50, "--out", plain]) == 0
+        assert run(["synth", "--model", "FSPL", "--n", 50, "--d0", -1, "--out", odd]) == 0
+        assert odd.read_bytes() == plain.read_bytes()
+
 
 class TestBeamSetManifests:
     @pytest.mark.parametrize("doc, message", [
@@ -478,3 +485,28 @@ class TestBeamSetManifests:
         with pytest.raises(ValueError) as info:
             load_beamset(path)  # b0.csv does not exist: no beam file was opened
         assert str(info.value).startswith(f"{path}: {message}")
+
+    @pytest.mark.parametrize("layout", [
+        {"rows": 2.7, "cols": True}, {"rows": True}, {"rows": 2, "cols": 1.5},
+        {"rows": "2.0", "cols": 1}, {"rows": 3, "cols": 5}, {"rows": 2}, {"rows": 0},
+        {"rows": -1, "cols": -2}, {"cols": 1},
+    ])
+    def test_a_layout_must_be_whole_and_fit_its_beams(self, tmp_path, layout):
+        path = tmp_path / "beams.json"
+        path.write_text(json.dumps({"layout": layout,
+                                    "beams": [{"file": "b0.csv"}, {"file": "b1.csv"}]}))
+        with pytest.raises(ValueError) as info:
+            load_beamset(path)  # neither beam file exists: none was opened
+        assert str(info.value) == (f"{path}: 'layout' must be an object of integer rows and "
+                                   f"cols with rows x cols = 2 beams, got {layout!r}")
+
+    @pytest.mark.parametrize("layout, shape", [
+        ({"rows": 2.0, "cols": "1"}, (2, 1)), ({"rows": 1}, (1, 2)), ({}, (1, 2)),
+        ({"rows": 1, "cols": 0}, (1, 2)),
+    ])
+    def test_a_whole_layout_that_fits_loads(self, tmp_path, layout, shape):
+        manifest = save_beamset(synthetic_aas_beamset(rows=1, cols=2), tmp_path)
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(dict(doc, layout=layout)))
+        beams = load_beamset(manifest)
+        assert (beams.rows, beams.cols) == shape
