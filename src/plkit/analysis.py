@@ -421,14 +421,17 @@ def _inside_any(table: BinTable, polygons: Sequence[Polygon], origin: GeodeticPo
 
 
 def classify_los(bins: Bins, polygons: Sequence[Polygon], origin: GeodeticPoint) -> Bins:
-    """Label every bin LOS if its centroid falls in any LOS polygon.
+    """Label every bin LOS if its centroid falls in any LOS polygon and in
+    no NLOS polygon: an NLOS polygon forces NLOS inside it.
 
     Polygons are projected onto the same tangent plane as the bins. With
     no polygons at all, everything is NLOS.
     """
     table = _table(bins)
-    los = [p for p in polygons if p.label == "LOS"]
+    los, nlos = ([p for p in polygons if p.label == label] for label in ("LOS", "NLOS"))
     inside = _inside_any(table, los, origin, "LOS classification")
+    if nlos:
+        inside &= ~_inside_any(table, nlos, origin, "LOS classification")
     return _like(bins, replace(table, los=np.where(inside, "LOS", "NLOS")))
 
 
@@ -723,7 +726,8 @@ def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
 
 
 def _read_bin_rows(chunk: Chunk, grid_size: float) -> list:
-    """The columns of one chunk of bin-table rows, checked in the order a
+    """The columns a file holds of one chunk of bin-table rows (ix, iy,
+    count, pl_db, d2d_m, d3d_m, lat, lon, los, band), checked in the order a
     GridBin built from each row checks them."""
     width = len(BIN_FIELDS)
     ix_s, iy_s, lat_s, lon_s, d2d_s, d3d_s, pl_s, count_s, los, band = (
@@ -732,17 +736,17 @@ def _read_bin_rows(chunk: Chunk, grid_size: float) -> list:
     pick = has_pos.tolist()
     lat, lon = (chunk.parse(float, [c[k] for k in pick], has_pos) for c in (lat_s, lon_s))
     _check_position(chunk, has_pos, lat, lon)
-    d2d, d3d, pl = (np.array(chunk.parse(float, c), dtype=float) for c in (d2d_s, d3d_s, pl_s))
+    d2d, d3d, pl = (chunk.parse(float, c) for c in (d2d_s, d3d_s, pl_s))
     chunk.check(
         ~(np.isfinite(pl) & (0.0 < d2d) & (d2d <= d3d) & (d3d < math.inf)),
         lambda k: ("need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
                    f"got pl_db={pl_s[k]}, d2d_m={d2d_s[k]}, d3d_m={d3d_s[k]}"))
-    ix, iy = (int_array(chunk.parse(int, c)) for c in (ix_s, iy_s))
+    ix, iy = (chunk.parse(int, c) for c in (ix_s, iy_s))
     try:
         check_grid_size(grid_size)  # what GridIndex checks
     except ValueError as exc:
         chunk.fail(0, str(exc))
-    count = int_array(chunk.parse(int, count_s))
+    count = chunk.parse(int, count_s)
     chunk.check(~(pl > 0), lambda k: f"path loss must be positive, got {pl[k].item()}")
     chunk.check(~(count >= 1), lambda k: "sample_count must be >= 1")
     # on the cells: a numpy string column drops trailing NULs
@@ -753,9 +757,8 @@ def _read_bin_rows(chunk: Chunk, grid_size: float) -> list:
                     lambda k: f"band must not hold a NUL, got {band[k]!r}")
     full_lat, full_lon = np.full(len(ix), np.nan), np.full(len(ix), np.nan)
     full_lat[has_pos], full_lon[has_pos] = lat, lon
-    nan = np.full(len(ix), np.nan)
-    return [ix, iy, nan, nan, nan, nan, count, pl, d2d, d3d, full_lat, full_lon,
-            np.array(los, dtype=str), np.array(band, dtype=str)]
+    return [ix, iy, count, pl, d2d, d3d, full_lat, full_lon, np.array(los, dtype=str),
+            np.array(band, dtype=str)]
 
 
 def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:
@@ -765,8 +768,7 @@ def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:
     Rejects, with the line number, rows whose path loss is not finite or
     whose distances are not finite with 0 < d2d_m <= d3d_m.
     """
-    chunks = read_csv(path, BIN_FIELDS, "wrong field count",
-                      lambda chunk: _read_bin_rows(chunk, grid_size))
-    if not chunks:
-        chunks = [_read_bin_rows(Chunk(len(BIN_FIELDS), [], []), grid_size)]
-    return BinTable(*(np.concatenate(c) for c in zip(*chunks)), grid_size=grid_size)
+    ix, iy, *read = read_csv(path, BIN_FIELDS, "wrong field count",
+                             lambda chunk: _read_bin_rows(chunk, grid_size))
+    unset = (np.full(len(ix), np.nan) for _ in range(4))  # east, north, up, rx_dbm
+    return BinTable(ix, iy, *unset, *read, grid_size=grid_size)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import read_csv, read_json, write_csv, write_json
+from .columns import int_array, read_csv, read_json, write_csv, write_json
 
 
 @dataclass
@@ -235,12 +235,11 @@ def load_pattern_csv(
     """Read a pattern CSV (header azimuth_deg,elevation_deg,gain_dbi), one
     row per grid node; a node given twice is rejected with its line."""
     path = Path(path)
-    chunks = read_csv(path, PATTERN_FIELDS, "expected {width} fields", lambda chunk: [
-        chunk.lines, *(np.array(chunk.parse(float, chunk.cells[j::3])) for j in range(3))])
-    if not chunks:
+    lines, azimuth, elevation, gain_dbi = read_csv(
+        path, PATTERN_FIELDS, "expected {width} fields", lambda chunk: [
+            int_array(chunk.lines), *(chunk.parse(float, chunk.cells[j::3]) for j in range(3))])
+    if not lines.size:
         raise ValueError(f"{path}: empty pattern file")
-    lines, *columns = zip(*chunks)
-    azimuth, elevation, gain_dbi = (np.concatenate(c) for c in columns)
     az, ai = np.unique(azimuth, return_inverse=True)
     el, ei = np.unique(elevation, return_inverse=True)
     node = ai * el.size + ei
@@ -248,8 +247,7 @@ def load_pattern_csv(
     repeats = order[1:][node[order][1:] == node[order][:-1]]
     if repeats.size:
         k = int(repeats.min())
-        line = [n for part in lines for n in part][k]
-        raise ValueError(f"{path}: line {line}: duplicate node "
+        raise ValueError(f"{path}: line {lines[k]}: duplicate node "
                          f"(azimuth {azimuth[k].item()!r}, elevation {elevation[k].item()!r})")
     gain = np.full((az.size, el.size), np.nan)
     gain[ai, ei] = gain_dbi

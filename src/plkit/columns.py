@@ -13,12 +13,15 @@ the log parsers read only the cells they keep at those offsets; the other
 readers, and any other clean chunk, split it with ``str.split``. From the
 first chunk that is not clean, the rest of the file goes through
 ``csv.reader``. Each column of a chunk is converted with one ``map`` of
-``int``/``float`` and checked as a whole. A reader must still reject a bad
-file the way a row-by-row pass would: at the first offending line, with
-the message of the first check that line fails. A :class:`Chunk` keeps
-that answer when its conversions and checks are made in the order a
-row-by-row pass makes them, and :func:`read_csv` raises it after the
-chunk's conversion (earlier chunks were clean).
+``int``/``float`` into a numpy column and checked as a whole. A reader
+must still reject a bad file the way a row-by-row pass would: at the
+first offending line, with the message of the first check that line
+fails. A :class:`Chunk` keeps that answer when its conversions and checks
+are made in the order a row-by-row pass makes them, and :func:`read_csv`
+raises it after the chunk's conversion (earlier chunks were clean). A
+reader's conversion returns one chunk's columns; :func:`read_csv` joins
+each column once and returns the file's columns, and a file with no rows
+is converted as one empty chunk, so every column keeps its dtype.
 
 :func:`read_json` reads a JSON object, naming its file when it cannot;
 :func:`write_json` writes a JSON document, refusing NaN and infinity.
@@ -64,21 +67,21 @@ class Chunk:
     def _row(self, k: int, rows) -> int:
         return k if rows is None else int(rows[k])
 
-    def parse(self, kind: Callable, cells: Sequence[str], rows=None) -> list:
-        """``kind`` of every cell; from the first cell it rejects on, the
-        rest of the list is 0."""
+    def parse(self, kind: Callable, cells: Sequence[str], rows=None) -> np.ndarray:
+        """The column of ``kind`` (``float`` or ``int``, see :func:`int_array`)
+        of every cell; from the first cell it rejects on, the rest is 0."""
         try:
-            return list(map(kind, cells))
+            values = list(map(kind, cells))
         except ValueError:
-            pass
-        values = []
-        for k, cell in enumerate(cells):
-            try:
-                values.append(kind(cell))
-            except ValueError as exc:
-                self.fail(self._row(k, rows), str(exc))
-                return values + [0] * (len(cells) - k)
-        return values
+            values = []
+            for k, cell in enumerate(cells):
+                try:
+                    values.append(kind(cell))
+                except ValueError as exc:
+                    self.fail(self._row(k, rows), str(exc))
+                    values += [0] * (len(cells) - k)
+                    break
+        return int_array(values) if kind is int else np.array(values, dtype=float)
 
     def check(self, bad: np.ndarray, message: Callable[[int], str], rows=None) -> None:
         """Record the first row where ``bad`` holds; ``message`` gets its
@@ -142,15 +145,18 @@ def _cell_ends(text: str, rows: int, width: int, limit: int):
     return ends, text.isascii() and not (other <= 32).any()
 
 
-def read_csv(source, header, field_error: str, convert: Callable[[Chunk], object]) -> list:
-    """``convert`` of each chunk of a CSV file, given by path or as a stream.
+def read_csv(source, header, field_error: str,
+             convert: Callable[[Chunk], Sequence[np.ndarray]]) -> list[np.ndarray]:
+    """The columns of a CSV file, given by path or as a stream.
 
     ``header`` is the list of column names, or a rule that gets the stripped
     names of the header line (None if the file is empty) and returns the
     row width. ``field_error``, formatted with the ``width`` and the field
-    count ``got``, refuses a row of the wrong width. Each chunk's first
-    failure is raised after its ``convert``; a ``ValueError`` from a file
-    read by path names the path.
+    count ``got``, refuses a row of the wrong width. ``convert`` returns
+    one chunk's columns (of any lengths); each chunk's first failure is
+    raised after its ``convert``. Each column is the join of its chunks'
+    pieces, made once; a file with no rows is converted as one empty
+    chunk. A ``ValueError`` from a file read by path names the path.
     """
     if not hasattr(source, "read"):
         with open(source, newline="", encoding="utf-8") as fh:
@@ -166,11 +172,13 @@ def read_csv(source, header, field_error: str, convert: Callable[[Chunk], object
         width = len(header)
     else:
         raise ValueError(f"expected header {','.join(header)}")
-    converted = []
+    chunks = []
     for chunk in read_chunks(source, width, field_error):
-        converted.append(convert(chunk))
+        chunks.append(convert(chunk))
         chunk.raise_first()
-    return converted
+    pieces = list(zip(*(chunks or [convert(Chunk(width, [], []))])))[::-1]
+    chunks.clear()  # from here on, a column's pieces go once it is joined
+    return [np.concatenate(pieces.pop()) for _ in range(len(pieces))]
 
 
 def read_json(path, not_object: str) -> dict:

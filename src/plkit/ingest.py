@@ -117,37 +117,31 @@ class ParseResult:
                    sum(p.skipped for p in parts), sum(p.filtered for p in parts))
 
 
-def _check_position(chunk: Chunk, rows, lat, lon) -> None:
+def _check_position(chunk: Chunk, rows, lat: np.ndarray, lon: np.ndarray) -> None:
     """What a GeodeticPoint checks, over the given rows."""
-    lat_a, lon_a = np.array(lat, dtype=float), np.array(lon, dtype=float)
-    chunk.check(~((lat_a >= -90.0) & (lat_a <= 90.0)),
-                lambda k: f"latitude {lat[k]!r} outside [-90, 90]", rows)
-    chunk.check(~((lon_a >= -180.0) & (lon_a <= 180.0)),
-                lambda k: f"longitude {lon[k]!r} outside [-180, 180]", rows)
+    chunk.check(~((lat >= -90.0) & (lat <= 90.0)),
+                lambda k: f"latitude {lat[k].item()!r} outside [-90, 90]", rows)
+    chunk.check(~((lon >= -180.0) & (lon <= 180.0)),
+                lambda k: f"longitude {lon[k].item()!r} outside [-180, 180]", rows)
 
 
-def _check_sample(chunk: Chunk, rows, ts, power) -> None:
+def _check_sample(chunk: Chunk, rows, ts: np.ndarray, power: np.ndarray) -> None:
     """What a MeasurementSample checks, over the given rows (its source is
     the parser's own)."""
-    chunk.check(~(int_array(ts) > 0),
-                lambda k: f"timestamp_ms must be positive, got {ts[k]}", rows)
-    p = np.array(power, dtype=float)
-    chunk.check(~((p >= -160.0) & (p <= 0.0)),
-                lambda k: f"received power {power[k]} dBm outside [-160, 0]", rows)
+    chunk.check(~(ts > 0), lambda k: f"timestamp_ms must be positive, got {ts[k]}", rows)
+    chunk.check(~((power >= -160.0) & (power <= 0.0)),
+                lambda k: f"received power {power[k].item()} dBm outside [-160, 0]", rows)
 
 
-def _join(parts: list, band: str, source: str, dropped: str) -> ParseResult:
-    """A log's result from its chunks' row counts and kept (ts, lat, lon, rx,
+def _log_result(columns: list, band: str, source: str, dropped: str) -> ParseResult:
+    """A log's result from its per-row kept mask and kept (ts, lat, lon, rx,
     beam or cell id) columns; the columns all its samples share are built once."""
-    if not parts:
-        return ParseResult(SampleTable.from_samples([]))
-    rows, *columns = zip(*parts)
-    ts, lat, lon, rx, ids = (np.concatenate(c) for c in columns)
+    kept, ts, lat, lon, rx, ids = columns
     n, unset = len(rx), np.full(len(rx), None)
     beam, cell = (ids, unset) if source == "TESTBED" else (unset, ids)
     table = SampleTable(ts, lat, lon, np.zeros(n), rx, np.full(n, band), np.full(n, source),
                         beam, cell)
-    return ParseResult(table, sum(rows), **{dropped: sum(rows) - n})
+    return ParseResult(table, len(kept), **{dropped: len(kept) - n})
 
 
 def _strongest_beams(chunk: Chunk):
@@ -211,16 +205,13 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
                         for j, kind in enumerate((int, float, float)))
         heard, power, column = _strongest_beams(chunk)
         keep = np.flatnonzero(heard)
-        pick = keep.tolist()
-        ts, lat, lon = ([v[k] for k in pick] for v in (ts, lat, lon))
-        power = power[keep].tolist()
+        ts, lat, lon, power = (c[keep] for c in (ts, lat, lon, power))
         _check_position(chunk, keep, lat, lon)
         _check_sample(chunk, keep, ts, power)
-        return (len(heard), int_array(ts), *(np.array(c, dtype=float) for c in (lat, lon, power)),
-                beams[column[keep]])
+        return heard, ts, lat, lon, power, beams[column[keep]]
 
-    return _join(read_csv(stream_or_path, header, "expected {width} fields, got {got}", convert),
-                 band, "TESTBED", "skipped")
+    return _log_result(read_csv(stream_or_path, header, "expected {width} fields, got {got}",
+                                convert), band, "TESTBED", "skipped")
 
 
 SCANNER_HEADER = ["timestamp_ms", "lat", "lon", "cell_id", "rsrp_dbm"]
@@ -238,19 +229,18 @@ def parse_scanner_log(
     def convert(chunk: Chunk) -> tuple:
         # the other cells of a filtered row are never read
         cell = chunk.parse(int, chunk.take(np.arange(3, chunk.rows * width, width)))
-        keep = np.flatnonzero(np.fromiter(map(wanted.__contains__, cell), bool, len(cell)))
-        pick = keep.tolist()
+        wanted_row = np.fromiter(map(wanted.__contains__, cell.tolist()), bool, len(cell))
+        keep = np.flatnonzero(wanted_row)
         kept = chunk.take(keep[:, None] * width + np.arange(width))
         ts, lat, lon = (chunk.parse(kind, kept[j::width], keep)
                         for j, kind in enumerate((int, float, float)))
         _check_position(chunk, keep, lat, lon)
         power = chunk.parse(float, kept[4::width], keep)
         _check_sample(chunk, keep, ts, power)
-        return (len(cell), int_array(ts), *(np.array(c, dtype=float) for c in (lat, lon, power)),
-                int_array([cell[k] for k in pick]))
+        return wanted_row, ts, lat, lon, power, cell[keep]
 
-    result = _join(read_csv(stream_or_path, SCANNER_HEADER, "expected {width} fields", convert),
-                   band, "SCANNER", "filtered")
+    result = _log_result(read_csv(stream_or_path, SCANNER_HEADER, "expected {width} fields",
+                                  convert), band, "SCANNER", "filtered")
     if not len(result.table):
         warnings.warn("scanner log yielded no samples for the requested cells")
     return result
@@ -371,12 +361,12 @@ def _optional_ints(chunk: Chunk, cells: list[str]) -> np.ndarray:
     """Object column: ``int`` of each non-empty cell, None for empty ones."""
     present = np.flatnonzero(np.fromiter(map(bool, cells), bool, len(cells)))
     column = np.full(len(cells), None, dtype=object)
-    column[present] = chunk.parse(int, [cells[k] for k in present.tolist()], present)
+    column[present] = chunk.parse(int, list(filter(None, cells)), present)
     return column
 
 
-def _read_sample_rows(chunk: Chunk) -> SampleTable:
-    """The table of one chunk of sample-file rows, checked in the order a
+def _read_sample_rows(chunk: Chunk) -> list:
+    """The columns of one chunk of sample-file rows, checked in the order a
     MeasurementSample built from each row checks them."""
     ts, lat, lon, alt, rx, band, source, beam, cell = (
         chunk.cells[j::len(SAMPLE_FIELDS)] for j in range(len(SAMPLE_FIELDS)))
@@ -392,15 +382,14 @@ def _read_sample_rows(chunk: Chunk) -> SampleTable:
     if "\0" in "".join(band):
         chunk.check(np.fromiter(("\0" in b for b in band), bool, len(band)),
                     lambda k: f"band must not hold a NUL, got {band[k]!r}")
-    return SampleTable(int_array(ts), *(np.array(c, dtype=float) for c in (lat, lon, alt, rx)),
-                       np.array(band, dtype=str), np.array(source, dtype=str), beam, cell)
+    return [ts, lat, lon, alt, rx, np.array(band, dtype=str), np.array(source, dtype=str),
+            beam, cell]
 
 
 def read_samples_csv(path) -> SampleTable:
     """Read the canonical sample CSV back as a SampleTable (iterating it
     yields the samples); a bad row is reported with its line number."""
-    return SampleTable.concat(read_csv(path, SAMPLE_FIELDS, "wrong field count",
-                                       _read_sample_rows))
+    return SampleTable(*read_csv(path, SAMPLE_FIELDS, "wrong field count", _read_sample_rows))
 
 
 @dataclass
@@ -437,6 +426,7 @@ def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
         raise ValueError(f"{manifest_path}: manifest lists no sessions")
     if not isinstance(entries, list):
         raise ValueError(f"{manifest_path}: 'sessions' must be a list")
+    sessions = {}  # (building, floor) -> entry; each key names one output file
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"{manifest_path}: session {i} must be an object")
@@ -453,12 +443,13 @@ def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
             whole = False
         if not whole:
             raise ValueError(f"{where}: floor must be an integer, got {floor!r}")
-    return [
-        IndoorSession(
-            building_id=str(entry["building_id"]),
-            floor=int(entry.get("floor", 0)),
-            indoor_samples=read_samples_csv(manifest_path.parent / entry["indoor_log"]),
-            outdoor_reference=read_samples_csv(manifest_path.parent / entry["outdoor_log"]),
-        )
-        for entry in entries
-    ]
+        session = (str(entry["building_id"]), int(floor))
+        if any(c in session[0] for c in "/\\\0"):
+            raise ValueError(f"{where}: building_id must not hold '/', '\\' or NUL")
+        if session in sessions:
+            raise ValueError(f"{where}: floor {session[1]} is listed twice")
+        sessions[session] = entry
+    return [IndoorSession(building, floor,
+                          read_samples_csv(manifest_path.parent / entry["indoor_log"]),
+                          read_samples_csv(manifest_path.parent / entry["outdoor_log"]))
+            for (building, floor), entry in sessions.items()]

@@ -180,6 +180,17 @@ class TestClassifyLos:
         outside = replace(b, centroid=LocalPoint(150.0, 50.0))
         assert classify_los([outside], [square_polygon(0, 0, 100, 100)], ORIGIN)[0].los == "NLOS"
 
+    def test_nlos_polygon_forces_nlos_over_los(self):
+        bins = [replace(simple_bin(300.0, 120.0, ix=i), centroid=LocalPoint(east, 50.0))
+                for i, east in enumerate([25.0, 75.0, 150.0, 250.0])]
+        polys = [square_polygon(0, 0, 100, 100),
+                 square_polygon(50, 0, 200, 100, label="NLOS")]
+        for given in (bins, analysis.BinTable.from_records(bins)):
+            labels = [b.los for b in classify_los(given, polys, ORIGIN)]
+            # LOS only, LOS and NLOS, NLOS only, neither
+            assert labels == ["LOS", "NLOS", "NLOS", "NLOS"]
+            assert [b.los for b in classify_los(given, polys[::-1], ORIGIN)] == labels
+
     def test_fraction_fixture(self):
         # 42 of 100 single-sample bins inside the declared area
         bins = []

@@ -119,6 +119,19 @@ class TestO2iManifestShape:
               ({"outdoor_log": None},
                "building A: 'outdoor_log' must be a path string, got None"),
           ]),
+        # each (building, floor) names one output file
+        *(({"sessions": [
+            {"building_id": "B01", "floor": 0, "indoor_log": "a.csv", "outdoor_log": "b.csv"},
+            {"indoor_log": "c.csv", "outdoor_log": "d.csv", **session}]}, message)
+          for session, message in [
+              ({"building_id": "B01", "floor": 0}, "building B01: floor 0 is listed twice"),
+              ({"building_id": "B01", "floor": "0"}, "building B01: floor 0 is listed twice"),
+              ({"building_id": "B01"}, "building B01: floor 0 is listed twice"),
+              ({"building_id": "../x", "floor": 1},
+               "building ../x: building_id must not hold '/', '\\' or NUL"),
+              ({"building_id": "a\\b"}, "building_id must not hold '/', '\\' or NUL"),
+              ({"building_id": "a\0b"}, "building_id must not hold '/', '\\' or NUL"),
+          ]),
     ])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest, message):
         path = tmp_path / "o2i.json"
@@ -127,6 +140,21 @@ class TestO2iManifestShape:
         captured = capsys.readouterr()
         assert message in captured.err and "Traceback" not in captured.err
         assert not (tmp_path / "cdfs").exists()
+
+
+class TestO2iSessionsNameOneFileEach:
+    @pytest.mark.parametrize("second", [{"building_id": "A", "floor": 0},
+                                        {"building_id": "../A", "floor": 1}])
+    def test_refused_before_any_file_is_written(self, tmp_path, capsys, second):
+        logs = {"indoor_log": str(GOLDEN / "o2i" / "indoor_A_f0.csv"),
+                "outdoor_log": str(GOLDEN / "o2i" / "outdoor_A_f0.csv")}
+        manifest = tmp_path / "o2i.json"
+        manifest.write_text(json.dumps({"sessions": [
+            {"building_id": "A", "floor": 0, **logs}, {**second, **logs}]}))
+        out = tmp_path / "cdfs"
+        assert_exit_2(["o2i", manifest, "--out", out], capsys, out,
+                      f"{manifest}: building {second['building_id']}: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["o2i.json"]
 
 
 class TestBinTableWithoutPositions:

@@ -19,15 +19,18 @@ import io
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import plkit.columns
 from plkit.analysis import BIN_FIELDS, GridBin, read_bins_csv
+from plkit.antenna import PATTERN_FIELDS, load_pattern_csv
 from plkit.geo import GeodeticPoint, GridIndex
 from plkit.ingest import (
     SAMPLE_FIELDS,
+    SCANNER_HEADER,
     MeasurementSample,
     parse_scanner_log,
     parse_testbed_log,
@@ -642,3 +645,36 @@ def test_errors_in_a_later_chunk_keep_their_line(tmp_path, monkeypatch):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"line 13: wrong field count"):
         read_bins_csv(path)
+
+
+# -- files with no rows -------------------------------------------------------------
+
+INT, FLOAT, LABEL = np.dtype(np.int64), np.dtype(float), np.dtype("U1")
+
+
+@pytest.mark.parametrize("chunk", [1, plkit.columns.CHUNK_ROWS])
+def test_files_with_no_rows(tmp_path, chunk):
+    """A header and no rows reads as an empty table with the dtypes of its
+    columns, or is refused where a reader needs rows."""
+    def header_only(name, fields):
+        (tmp_path / name).write_text(",".join(fields) + "\n")
+        return tmp_path / name
+
+    with chunk_rows(chunk):
+        bins = read_bins_csv(header_only("bins.csv", BIN_FIELDS), grid_size=2.5)
+        samples = read_samples_csv(header_only("samples.csv", SAMPLE_FIELDS))
+        with pytest.raises(ValueError, match="empty pattern file"):
+            load_pattern_csv(header_only("pattern.csv", PATTERN_FIELDS))
+        log = parse_testbed_log(io.StringIO("timestamp_ms,lat,lon,mrsrp_00,mrsrp_01\n"))
+        scanner = "\n".join([",".join(SCANNER_HEADER), "1000,47.0,8.0,12,-80.0",
+                             "2000,47.0,8.0,13,-81.0"]) + "\n"
+        with pytest.warns(UserWarning, match="yielded no samples"):
+            filtered = parse_scanner_log(io.StringIO(scanner), {14})
+    assert len(bins) == 0 and bins.grid_size == 2.5
+    assert [c.dtype for c in vars(bins).values() if isinstance(c, np.ndarray)] == (
+        [INT] * 2 + [FLOAT] * 4 + [INT] + [FLOAT] * 5 + [LABEL] * 2)
+    assert len(samples) == 0
+    assert [c.dtype for c in vars(samples).values()] == (
+        [INT] + [FLOAT] * 4 + [LABEL] * 2 + [np.dtype(object)] * 2)
+    assert (log.rows, log.skipped, log.filtered, len(log.table)) == (0, 0, 0, 0)
+    assert (filtered.rows, filtered.filtered, len(filtered.table)) == (2, 2, 0)
