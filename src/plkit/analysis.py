@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from . import models
-from .columns import Chunk, int_array, read_csv, write_csv
+from .columns import POSITIVE, Chunk, Rule, check_record, int_array, read_csv, write_csv
 from .antenna import AntennaPattern, gain_at
 from .geo import (
+    POSITION_RULES,
     GeodeticPoint,
     GridIndex,
     LocalPoint,
@@ -35,9 +36,16 @@ from .geo import (
 
 # unused here, but perfbench/tracing.py wraps these names in this module
 from .geo import from_local, point_in_ring, to_local  # noqa: F401
-from .ingest import IndoorSession, MeasurementSample, SampleTable, SiteConfig, _check_position
+from .ingest import IndoorSession, MeasurementSample, SampleTable, SiteConfig, check_band
 
 LOS_LABELS = ("LOS", "NLOS", "UNKNOWN")
+
+# what a GridBin checks, and every path that fills bin columns
+BIN_RULES = {
+    "path_loss_db": Rule("path loss must be positive, got {value}", POSITIVE),
+    "sample_count": Rule("sample_count must be >= 1", 1),
+    "los": Rule("los must be one of {allowed}", allowed=LOS_LABELS),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,61 +74,47 @@ class GridBin:
     position: Optional[GeodeticPoint] = None
 
     def __post_init__(self):
-        if not self.path_loss_db > 0:
-            raise ValueError(f"path loss must be positive, got {self.path_loss_db}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-        if self.los not in LOS_LABELS:
-            raise ValueError(f"los must be one of {LOS_LABELS}")
-
-
-_BIN_COLUMNS = ("ix", "iy", "east", "north", "up", "rx_dbm", "count",
-                "pl_db", "d2d_m", "d3d_m", "lat", "lon", "los", "band")
+        check_record(self, BIN_RULES)
 
 
 @dataclass(frozen=True)
 class BinTable:
     """Grid bins as equal-length numpy columns, plus the grid size.
 
-    The ``bin`` command runs on one table: :func:`aggregate_bins` fills the
-    cell index, the centroid (east/north/up in m on the tangent plane at
-    the site), the median received power and the sample count;
-    :func:`extract_path_loss` the path loss, the 2D/3D distances, the
-    centroid's lat/lon (NaN until then) and the band; :func:`classify_los`
-    the labels ("UNKNOWN" until then). :func:`read_bins_csv` fills the
-    columns a bin-table file holds and leaves the centroid and median power
-    NaN (and lat/lon where the file has no position); the synthesizers
-    fill every column but the median power, with one sample per bin.
-    ``band`` is a column of per-bin labels, so a file whose rows name
-    different bands reads back row for row. Iterating yields
-    :class:`GridBin` records, whose positions have altitude 0.
+    A column not given is unset: NaN, with one sample per bin, "UNKNOWN"
+    labels and "" bands. The ``bin`` command runs on one table:
+    :func:`aggregate_bins` fills the cell index, the centroid (east/north/up
+    in m on the tangent plane at the site), the median received power and
+    the sample count; :func:`extract_path_loss` the path loss, the 2D/3D
+    distances, the centroid's lat/lon and the band; :func:`classify_los`
+    the labels. :func:`read_bins_csv` fills the columns a bin-table file
+    holds (lat/lon NaN where the file has no position); the synthesizers
+    fill every column but the median power. ``band`` is a column of
+    per-bin labels, so a file whose rows name different bands reads back
+    row for row. Iterating yields :class:`GridBin` records, whose
+    positions have altitude 0.
     """
 
     ix: np.ndarray
     iy: np.ndarray
-    east: np.ndarray
-    north: np.ndarray
-    up: np.ndarray
-    rx_dbm: np.ndarray
-    count: np.ndarray
-    pl_db: np.ndarray
-    d2d_m: np.ndarray
-    d3d_m: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
-    los: np.ndarray
-    band: np.ndarray
+    east: Optional[np.ndarray] = None
+    north: Optional[np.ndarray] = None
+    up: Optional[np.ndarray] = None
+    rx_dbm: Optional[np.ndarray] = None
+    count: Optional[np.ndarray] = None
+    pl_db: Optional[np.ndarray] = None
+    d2d_m: Optional[np.ndarray] = None
+    d3d_m: Optional[np.ndarray] = None
+    lat: Optional[np.ndarray] = None
+    lon: Optional[np.ndarray] = None
+    los: Optional[np.ndarray] = None
+    band: Optional[np.ndarray] = None
     grid_size: float = 5.0
 
-    @classmethod
-    def aggregated(cls, ix, iy, east, north, up, rx_dbm, count, grid_size) -> "BinTable":
-        """A table of aggregates, before the link budget."""
-        ints = [np.asarray(v, dtype=np.int64) for v in (ix, iy)]
-        floats = [np.asarray(v, dtype=float) for v in (east, north, up, rx_dbm)]
-        n = ints[0].size
-        return cls(*ints, *floats, np.asarray(count, dtype=np.int64),
-                   *(np.full(n, np.nan) for _ in range(5)), np.full(n, "UNKNOWN"),
-                   np.full(n, ""), grid_size=grid_size)
+    def __post_init__(self):
+        for name in _BIN_COLUMNS:
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, np.full(self.ix.size, _UNSET.get(name, np.nan)))
 
     @classmethod
     def from_records(cls, bins: Iterable[Union[GridBin, BinAggregate]]) -> "BinTable":
@@ -177,6 +171,10 @@ class BinTable:
     def columns(self, *names: str) -> list[list]:
         """The named columns as Python lists."""
         return [getattr(self, c).tolist() for c in names]
+
+
+_BIN_COLUMNS = [f.name for f in fields(BinTable) if f.name != "grid_size"]
+_UNSET = {"count": 1, "los": "UNKNOWN", "band": ""}  # else NaN
 
 
 @dataclass(frozen=True)
@@ -336,10 +334,10 @@ def _aggregate(samples: SampleTable, origin: GeodeticPoint, grid_size: float) ->
     by_power = np.lexsort((power, iy, ix))
     ix, iy = ix[order], iy[order]
     starts, counts = _runs(ix, iy)
-    return BinTable.aggregated(
+    return BinTable(
         ix[starts], iy[starts],
         *(_cell_means(v[order], starts, counts) for v in (east, north, up)),
-        _medians(power[by_power], starts, counts), counts, grid_size,
+        _medians(power[by_power], starts, counts), counts, grid_size=grid_size,
     )
 
 
@@ -398,8 +396,7 @@ def extract_path_loss(
         azimuth, elevation = azimuth[keep], elevation[keep]
     gain = gain_at(pattern, azimuth, elevation)
     pl = site.effective_tx_power_dbm + gain + site.rx_gain_dbi - table.rx_dbm
-    if not np.all(pl > 0):
-        raise ValueError(f"path loss must be positive, got {pl[~(pl > 0)][0]}")
+    BIN_RULES["path_loss_db"].check(pl)
     lat, lon = unproject(site.site_position, table.east, table.north)
     return _like(aggregates, replace(table, pl_db=pl, d2d_m=d2d, d3d_m=hypot(d2d, dz),
                                      lat=lat, lon=lon, band=np.full(len(table), band)))
@@ -628,10 +625,8 @@ def _bins_from_arrays(
 ) -> BinTable:
     """One single-sample bin per draw, at its bearing and 2D distance from
     ``origin`` (``up`` 0, no median power), checked as GridBin checks."""
-    if los not in LOS_LABELS:
-        raise ValueError(f"los must be one of {LOS_LABELS}")
-    if not np.all(pl > 0):
-        raise ValueError(f"path loss must be positive, got {pl[~(pl > 0)][0]}")
+    BIN_RULES["los"].check([los])
+    BIN_RULES["path_loss_db"].check(pl)
     dh = h_bs_m - h_ut_m
     d2d = np.sqrt(d3d**2 - dh**2)
     east = d2d * np.sin(np.radians(bearings_deg))
@@ -639,9 +634,8 @@ def _bins_from_arrays(
     ix, iy = _cells(east, north, grid_size)
     lat, lon = unproject(origin, east, north)
     n = d3d.size
-    return BinTable(ix, iy, east, north, np.zeros(n), np.full(n, np.nan),
-                    np.ones(n, dtype=np.int64), pl, d2d, d3d, lat, lon, np.full(n, los),
-                    np.full(n, band), grid_size=grid_size)
+    return BinTable(ix, iy, east, north, np.zeros(n), pl_db=pl, d2d_m=d2d, d3d_m=d3d, lat=lat,
+                    lon=lon, los=np.full(n, los), band=np.full(n, band), grid_size=grid_size)
 
 
 def _draws(distance_range_m: tuple[float, float], n: int, sigma_db: float, seed: int):
@@ -721,21 +715,20 @@ def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
         raise ValueError("bin table has no path loss yet; run extract_path_loss first")
     lat, lon = (np.where(np.isnan(c), None, c) if np.isnan(c).any() else c
                 for c in (bins.lat, bins.lon))
-    write_csv(path, BIN_FIELDS, [bins.ix, bins.iy, lat, lon, bins.d2d_m, bins.d3d_m, bins.pl_db,
-                                 bins.count, bins.los, bins.band])
+    bins = replace(bins, lat=lat, lon=lon)
+    write_csv(path, BIN_FIELDS, [getattr(bins, name) for name in BIN_FIELDS])
 
 
 def _read_bin_rows(chunk: Chunk, grid_size: float) -> list:
-    """The columns a file holds of one chunk of bin-table rows (ix, iy,
-    count, pl_db, d2d_m, d3d_m, lat, lon, los, band), checked in the order a
-    GridBin built from each row checks them."""
+    """The columns of one chunk of bin-table rows, in file order, checked in
+    the order a GridBin built from each row checks them."""
     width = len(BIN_FIELDS)
     ix_s, iy_s, lat_s, lon_s, d2d_s, d3d_s, pl_s, count_s, los, band = (
         chunk.cells[j::width] for j in range(width))
     has_pos = np.flatnonzero(np.fromiter(map(bool, lat_s), bool, len(lat_s)))
     pick = has_pos.tolist()
     lat, lon = (chunk.parse(float, [c[k] for k in pick], has_pos) for c in (lat_s, lon_s))
-    _check_position(chunk, has_pos, lat, lon)
+    chunk.check_rules(POSITION_RULES, {"latitude": lat, "longitude": lon}, has_pos)
     d2d, d3d, pl = (chunk.parse(float, c) for c in (d2d_s, d3d_s, pl_s))
     chunk.check(
         ~(np.isfinite(pl) & (0.0 < d2d) & (d2d <= d3d) & (d3d < math.inf)),
@@ -747,17 +740,12 @@ def _read_bin_rows(chunk: Chunk, grid_size: float) -> list:
     except ValueError as exc:
         chunk.fail(0, str(exc))
     count = chunk.parse(int, count_s)
-    chunk.check(~(pl > 0), lambda k: f"path loss must be positive, got {pl[k].item()}")
-    chunk.check(~(count >= 1), lambda k: "sample_count must be >= 1")
-    # on the cells: a numpy string column drops trailing NULs
-    chunk.check(~np.fromiter(map(LOS_LABELS.__contains__, los), bool, len(los)),
-                lambda k: f"los must be one of {LOS_LABELS}")
-    if "\0" in "".join(band):
-        chunk.check(np.fromiter(("\0" in b for b in band), bool, len(band)),
-                    lambda k: f"band must not hold a NUL, got {band[k]!r}")
+    # the labels on their cells: a numpy string column drops trailing NULs
+    chunk.check_rules(BIN_RULES, {"path_loss_db": pl, "sample_count": count, "los": los})
+    check_band(chunk, band)
     full_lat, full_lon = np.full(len(ix), np.nan), np.full(len(ix), np.nan)
     full_lat[has_pos], full_lon[has_pos] = lat, lon
-    return [ix, iy, count, pl, d2d, d3d, full_lat, full_lon, np.array(los, dtype=str),
+    return [ix, iy, full_lat, full_lon, d2d, d3d, pl, count, np.array(los, dtype=str),
             np.array(band, dtype=str)]
 
 
@@ -768,7 +756,6 @@ def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:
     Rejects, with the line number, rows whose path loss is not finite or
     whose distances are not finite with 0 < d2d_m <= d3d_m.
     """
-    ix, iy, *read = read_csv(path, BIN_FIELDS, "wrong field count",
-                             lambda chunk: _read_bin_rows(chunk, grid_size))
-    unset = (np.full(len(ix), np.nan) for _ in range(4))  # east, north, up, rx_dbm
-    return BinTable(ix, iy, *unset, *read, grid_size=grid_size)
+    read = read_csv(path, BIN_FIELDS, "wrong field count",
+                    lambda chunk: _read_bin_rows(chunk, grid_size))
+    return BinTable(**dict(zip(BIN_FIELDS, read)), grid_size=grid_size)

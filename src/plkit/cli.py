@@ -148,7 +148,7 @@ def cmd_synth(args) -> int:
         ue_height_m=link["h_ut_m"],
     )
     rx = site.tx_power_dbm + site.rx_gain_dbi - bins.pl_db
-    out_of_range = ~((rx >= -160.0) & (rx <= 0.0))
+    out_of_range = ingest.SAMPLE_RULES["received_power_dbm"].fails(rx)
     if out_of_range.any():
         raise ValueError(
             f"synthetic received power {rx[out_of_range][0]:.1f} dBm out of range; "
@@ -161,10 +161,8 @@ def cmd_synth(args) -> int:
     ingest.save_site_config(site, out_dir / "site.json")
     # one sample per bin, received on the first of 48 beams
     log_path = out_dir / "testbed_log.csv"
-    header = ["timestamp_ms", "lat", "lon"] + [f"mrsrp_{i:02d}" for i in range(48)]
-    unheard = np.full(len(bins), None)
-    write_csv(log_path, header,
-              [1000 * np.arange(1, len(bins) + 1), bins.lat, bins.lon, rx] + [unheard] * 47)
+    ingest.write_testbed_log(log_path, 1000 * np.arange(1, len(bins) + 1), bins.lat, bins.lon,
+                             [rx] + [np.full(len(bins), None)] * 47)
     print(f"wrote {log_path}, {out_dir / 'site.json'}, {pattern_path} "
           f"({len(bins)} samples, seed {args.seed})")
     return 0

@@ -34,13 +34,54 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import re
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 CHUNK_ROWS = 512
+
+# the least positive float: [POSITIVE, inf] holds exactly the ints and floats > 0
+POSITIVE = math.ulp(0.0)
+
+
+class Rule(NamedTuple):
+    """A field's rule: the value lies in [low, high] (NaN never does) or is
+    one of ``allowed``; ``message`` formats a refused ``{value}`` (a numpy
+    scalar as its Python value) and the ``{allowed}`` members."""
+
+    message: str
+    low: float = -math.inf
+    high: float = math.inf
+    allowed: tuple = ()
+
+    def fails(self, column) -> np.ndarray:
+        """Where a numpy column (a list of cells, for a set rule) breaks the rule."""
+        if self.allowed:
+            return ~np.fromiter(map(self.allowed.__contains__, column), bool, len(column))
+        inside = column >= self.low
+        return ~(inside & (column <= self.high)) if self.high < math.inf else ~inside
+
+    def check(self, column) -> None:
+        """Refuse the first value of a column that breaks the rule."""
+        bad = np.flatnonzero(self.fails(column))
+        if bad.size:
+            raise ValueError(self.refusal(column[bad[0]]))
+
+    def refusal(self, value) -> str:
+        value = value.item() if isinstance(value, np.generic) else value
+        return self.message.format(value=value, allowed=self.allowed)
+
+
+def check_record(record, rules: dict[str, Rule]) -> None:
+    """Test each field of ``record`` by its rule, with plain comparisons, in
+    the table's order."""
+    for field, rule in rules.items():
+        value = getattr(record, field)
+        if not (value in rule.allowed if rule.allowed else rule.low <= value <= rule.high):
+            raise ValueError(rule.refusal(value))
 
 
 class Chunk:
@@ -89,6 +130,14 @@ class Chunk:
         k = np.flatnonzero(bad)
         if k.size:
             self.fail(self._row(int(k[0]), rows), message(int(k[0])))
+
+    def check_rules(self, rules: dict[str, Rule], columns: dict, rows=None) -> None:
+        """Check the given columns, by field, with the rules of a record's
+        table, in the table's order (the order the record checks them)."""
+        for field, rule in rules.items():
+            if field in columns:
+                column = columns[field]
+                self.check(rule.fails(column), lambda k: rule.refusal(column[k]), rows)
 
     def raise_first(self) -> None:
         if self.error is not None:

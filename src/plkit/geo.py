@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import read_json
+from .columns import Rule, check_record, read_json
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -25,6 +25,13 @@ WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 # max angular offset from the projection origin before the tangent-plane
 # approximation is refused
 _MAX_OFFSET_DEG = 1.0
+
+
+# what a GeodeticPoint checks, and every reader of a position column
+POSITION_RULES = {
+    "latitude": Rule("latitude {value!r} outside [-90, 90]", -90.0, 90.0),
+    "longitude": Rule("longitude {value!r} outside [-180, 180]", -180.0, 180.0),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,10 +43,7 @@ class GeodeticPoint:
     altitude_agl: float = 0.0
 
     def __post_init__(self):
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude {self.latitude!r} outside [-90, 90]")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude {self.longitude!r} outside [-180, 180]")
+        check_record(self, POSITION_RULES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,8 +304,8 @@ def load_polygons(path) -> list[Polygon]:
     """Read LOS/NLOS polygons from a GeoJSON FeatureCollection.
 
     Each feature must be a Polygon with one (outer) ring; holes and
-    MultiPolygons are rejected rather than ignored. The boolean feature
-    property ``los`` selects the label (missing defaults to LOS).
+    MultiPolygons are rejected rather than ignored. The feature property
+    ``los``, true or false, selects the label (missing defaults to LOS).
     """
     collection = "polygon file must be a GeoJSON FeatureCollection"
     data = read_json(path, collection)
@@ -336,5 +340,7 @@ def load_polygons(path) -> list[Polygon]:
             outer = outer[:-1]
         vertices = tuple(GeodeticPoint(lat, lon) for lon, lat, *_ in outer)
         los = properties.get("los", True)
+        if not isinstance(los, bool):
+            raise ValueError(f"feature {i}: property 'los' must be true or false, got {los!r}")
         polygons.append(Polygon(vertices, "LOS" if los else "NLOS"))
     return polygons

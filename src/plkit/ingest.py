@@ -9,6 +9,7 @@ one column per beam) and a per-cell scanner log. The beam-max selection
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -16,10 +17,18 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .columns import Chunk, int_array, read_csv, read_json, write_csv, write_json
-from .geo import GeodeticPoint
+from .columns import (POSITIVE, Chunk, Rule, check_record, int_array, read_csv, read_json,
+                      write_csv, write_json)
+from .geo import POSITION_RULES, GeodeticPoint
 
 SOURCES = ("TESTBED", "SCANNER")
+
+# what a MeasurementSample checks, and every reader of sample columns
+SAMPLE_RULES = {
+    "timestamp_ms": Rule("timestamp_ms must be positive, got {value}", POSITIVE),
+    "received_power_dbm": Rule("received power {value} dBm outside [-160, 0]", -160.0, 0.0),
+    "source": Rule("source must be one of {allowed}, got {value!r}", allowed=SOURCES),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,14 +44,7 @@ class MeasurementSample:
     cell_id: Optional[int] = None
 
     def __post_init__(self):
-        if self.timestamp_ms <= 0:
-            raise ValueError(f"timestamp_ms must be positive, got {self.timestamp_ms}")
-        if not -160.0 <= self.received_power_dbm <= 0.0:
-            raise ValueError(
-                f"received power {self.received_power_dbm} dBm outside [-160, 0]"
-            )
-        if self.source not in SOURCES:
-            raise ValueError(f"source must be one of {SOURCES}, got {self.source!r}")
+        check_record(self, SAMPLE_RULES)
 
 
 @dataclass(frozen=True)
@@ -117,20 +119,11 @@ class ParseResult:
                    sum(p.skipped for p in parts), sum(p.filtered for p in parts))
 
 
-def _check_position(chunk: Chunk, rows, lat: np.ndarray, lon: np.ndarray) -> None:
-    """What a GeodeticPoint checks, over the given rows."""
-    chunk.check(~((lat >= -90.0) & (lat <= 90.0)),
-                lambda k: f"latitude {lat[k].item()!r} outside [-90, 90]", rows)
-    chunk.check(~((lon >= -180.0) & (lon <= 180.0)),
-                lambda k: f"longitude {lon[k].item()!r} outside [-180, 180]", rows)
-
-
-def _check_sample(chunk: Chunk, rows, ts: np.ndarray, power: np.ndarray) -> None:
-    """What a MeasurementSample checks, over the given rows (its source is
-    the parser's own)."""
-    chunk.check(~(ts > 0), lambda k: f"timestamp_ms must be positive, got {ts[k]}", rows)
-    chunk.check(~((power >= -160.0) & (power <= 0.0)),
-                lambda k: f"received power {power[k].item()} dBm outside [-160, 0]", rows)
+def check_band(chunk: Chunk, band: list[str]) -> None:
+    """Refuse a band cell holding a NUL, which a numpy string column drops."""
+    if "\0" in "".join(band):
+        chunk.check(np.fromiter(("\0" in b for b in band), bool, len(band)),
+                    lambda k: f"band must not hold a NUL, got {band[k]!r}")
 
 
 def _log_result(columns: list, band: str, source: str, dropped: str) -> ParseResult:
@@ -169,6 +162,18 @@ def _strongest_beams(chunk: Chunk):
     return received.any(axis=1), best, column
 
 
+# the testbed-log layout: these columns, then one column per beam
+TESTBED_COLUMNS = ["timestamp_ms", "lat", "lon"]
+BEAM_PREFIX = "mrsrp_"
+
+
+def write_testbed_log(path, timestamp_ms, lat, lon, beam_powers: Sequence[np.ndarray]) -> None:
+    """Write a testbed log with one column per beam, ``mrsrp_00`` on; None
+    in a beam's (object) column means the beam was not received."""
+    write_csv(path, TESTBED_COLUMNS + [f"{BEAM_PREFIX}{i:02d}" for i in range(len(beam_powers))],
+              [timestamp_ms, lat, lon, *beam_powers])
+
+
 def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
     """Parse a beam-resolved testbed log.
 
@@ -178,24 +183,24 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
     index); rows with no received beam at all are skipped and counted.
     A bad row is reported with its line number.
     """
-    beams = None  # the beam of each mrsrp_* column
+    beams = None  # the beam of each beam column
 
     def header(names: Optional[list[str]]) -> int:
         nonlocal beams
         if names is None:
             raise ValueError("empty log: missing header")
-        if names[:3] != ["timestamp_ms", "lat", "lon"]:
-            raise ValueError("testbed log must start with timestamp_ms,lat,lon")
+        if names[:3] != TESTBED_COLUMNS:
+            raise ValueError(f"testbed log must start with {','.join(TESTBED_COLUMNS)}")
         ids = []
         for name in names[3:]:
-            if not name.startswith("mrsrp_"):
+            if not name.startswith(BEAM_PREFIX):
                 raise ValueError(f"unexpected column {name!r} in testbed log")
             try:
-                ids.append(int(name[len("mrsrp_"):]))
+                ids.append(int(name[len(BEAM_PREFIX):]))
             except ValueError:
                 raise ValueError(f"bad beam column name {name!r}") from None
         if not ids:
-            raise ValueError("testbed log has no mrsrp_* columns")
+            raise ValueError(f"testbed log has no {BEAM_PREFIX}* columns")
         beams = int_array(ids)
         return len(names)
 
@@ -206,8 +211,9 @@ def parse_testbed_log(stream_or_path, band: str = "3.5GHz") -> ParseResult:
         heard, power, column = _strongest_beams(chunk)
         keep = np.flatnonzero(heard)
         ts, lat, lon, power = (c[keep] for c in (ts, lat, lon, power))
-        _check_position(chunk, keep, lat, lon)
-        _check_sample(chunk, keep, ts, power)
+        chunk.check_rules(POSITION_RULES, {"latitude": lat, "longitude": lon}, keep)
+        # the source is the parser's own
+        chunk.check_rules(SAMPLE_RULES, {"timestamp_ms": ts, "received_power_dbm": power}, keep)
         return heard, ts, lat, lon, power, beams[column[keep]]
 
     return _log_result(read_csv(stream_or_path, header, "expected {width} fields, got {got}",
@@ -234,9 +240,9 @@ def parse_scanner_log(
         kept = chunk.take(keep[:, None] * width + np.arange(width))
         ts, lat, lon = (chunk.parse(kind, kept[j::width], keep)
                         for j, kind in enumerate((int, float, float)))
-        _check_position(chunk, keep, lat, lon)
+        chunk.check_rules(POSITION_RULES, {"latitude": lat, "longitude": lon}, keep)
         power = chunk.parse(float, kept[4::width], keep)
-        _check_sample(chunk, keep, ts, power)
+        chunk.check_rules(SAMPLE_RULES, {"timestamp_ms": ts, "received_power_dbm": power}, keep)
         return wanted_row, ts, lat, lon, power, cell[keep]
 
     result = _log_result(read_csv(stream_or_path, SCANNER_HEADER, "expected {width} fields",
@@ -244,6 +250,16 @@ def parse_scanner_log(
     if not len(result.table):
         warnings.warn("scanner log yielded no samples for the requested cells")
     return result
+
+
+# what a SiteConfig checks, of its own values or of a site-config file's
+SITE_RULES = {
+    "tx_power_dbm": Rule("tx_power_dbm {value} outside (0, 90]", POSITIVE, 90.0),
+    "antenna_height_agl_m": Rule("antenna_height_agl_m must be > 0", POSITIVE),
+    "ue_height_m": Rule("ue_height_m must be > 0", POSITIVE),
+    "carrier_freq_ghz": Rule("carrier_freq_ghz must be > 0", POSITIVE),
+    "feeder_loss_db": Rule("feeder_loss_db must be >= 0", 0.0),
+}
 
 
 @dataclass(frozen=True)
@@ -261,16 +277,7 @@ class SiteConfig:
     feeder_loss_db: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.tx_power_dbm <= 90.0:
-            raise ValueError(f"tx_power_dbm {self.tx_power_dbm} outside (0, 90]")
-        if self.antenna_height_agl_m <= 0:
-            raise ValueError("antenna_height_agl_m must be > 0")
-        if self.ue_height_m <= 0:
-            raise ValueError("ue_height_m must be > 0")
-        if self.carrier_freq_ghz <= 0:
-            raise ValueError("carrier_freq_ghz must be > 0")
-        if self.feeder_loss_db < 0:
-            raise ValueError("feeder_loss_db must be >= 0")
+        check_record(self, SITE_RULES)
 
     @property
     def effective_tx_power_dbm(self) -> float:
@@ -278,17 +285,20 @@ class SiteConfig:
         return self.tx_power_dbm - self.feeder_loss_db
 
 
-_SITE_REQUIRED = [
-    "latitude",
-    "longitude",
-    "antenna_height_agl_m",
-    "boresight_azimuth_deg",
-    "tx_power_dbm",
-    "carrier_freq_ghz",
-    "pattern",
-    "rx_gain_dbi",
-    "ue_height_m",
-]
+# site-config JSON key: (SiteConfig attribute, default; None where the key is required)
+SITE_KEYS = {
+    "latitude": ("site_position.latitude", None),
+    "longitude": ("site_position.longitude", None),
+    "altitude_agl_m": ("site_position.altitude_agl", 0.0),
+    "antenna_height_agl_m": ("antenna_height_agl_m", None),
+    "boresight_azimuth_deg": ("boresight_azimuth_deg", None),
+    "tx_power_dbm": ("tx_power_dbm", None),
+    "carrier_freq_ghz": ("carrier_freq_ghz", None),
+    "pattern": ("pattern_ref", None),
+    "rx_gain_dbi": ("rx_gain_dbi", None),
+    "ue_height_m": ("ue_height_m", None),
+    "feeder_loss_db": ("feeder_loss_db", 0.0),
+}
 
 
 def load_site_config(path) -> SiteConfig:
@@ -296,13 +306,13 @@ def load_site_config(path) -> SiteConfig:
     must convert to a finite float, and the pattern reference is a string."""
     path = Path(path)
     data = read_json(path, "site config must be a JSON object")
-    for key in _SITE_REQUIRED:
-        if key not in data:
+    for key, (_, default) in SITE_KEYS.items():
+        if default is None and key not in data:
             raise ValueError(f"{path}: site config missing field {key!r}")
     if not isinstance(data["pattern"], str):
         raise ValueError(f"{path}: site config field 'pattern' must be a string")
 
-    def number(key, default=None):
+    def number(key, default):
         value = data.get(key, default)
         try:
             result = float(value)
@@ -313,35 +323,16 @@ def load_site_config(path) -> SiteConfig:
                              f"got {value!r}")
         return result
 
-    return SiteConfig(
-        site_position=GeodeticPoint(
-            number("latitude"), number("longitude"), number("altitude_agl_m", 0.0)),
-        antenna_height_agl_m=number("antenna_height_agl_m"),
-        boresight_azimuth_deg=number("boresight_azimuth_deg"),
-        tx_power_dbm=number("tx_power_dbm"),
-        carrier_freq_ghz=number("carrier_freq_ghz"),
-        pattern_ref=data["pattern"],
-        rx_gain_dbi=number("rx_gain_dbi"),
-        ue_height_m=number("ue_height_m"),
-        feeder_loss_db=number("feeder_loss_db", 0.0),
-    )
+    values = {attr: data[key] if key == "pattern" else number(key, default)
+              for key, (attr, default) in SITE_KEYS.items()}
+    position = GeodeticPoint(*(values.pop(f"site_position.{f.name}")
+                               for f in fields(GeodeticPoint)))
+    return SiteConfig(position, **values)
 
 
 def save_site_config(site: SiteConfig, path) -> None:
-    data = {
-        "latitude": site.site_position.latitude,
-        "longitude": site.site_position.longitude,
-        "altitude_agl_m": site.site_position.altitude_agl,
-        "antenna_height_agl_m": site.antenna_height_agl_m,
-        "boresight_azimuth_deg": site.boresight_azimuth_deg,
-        "tx_power_dbm": site.tx_power_dbm,
-        "carrier_freq_ghz": site.carrier_freq_ghz,
-        "pattern": site.pattern_ref,
-        "rx_gain_dbi": site.rx_gain_dbi,
-        "ue_height_m": site.ue_height_m,
-        "feeder_loss_db": site.feeder_loss_db,
-    }
-    write_json(path, data)
+    write_json(path, {key: operator.attrgetter(attr)(site)
+                      for key, (attr, _) in SITE_KEYS.items()})
 
 
 SAMPLE_FIELDS = [
@@ -372,16 +363,13 @@ def _read_sample_rows(chunk: Chunk) -> list:
         chunk.cells[j::len(SAMPLE_FIELDS)] for j in range(len(SAMPLE_FIELDS)))
     ts = chunk.parse(int, ts)
     lat, lon, alt = (chunk.parse(float, c) for c in (lat, lon, alt))
-    _check_position(chunk, None, lat, lon)
+    chunk.check_rules(POSITION_RULES, {"latitude": lat, "longitude": lon})
     rx = chunk.parse(float, rx)
     beam, cell = _optional_ints(chunk, beam), _optional_ints(chunk, cell)
-    _check_sample(chunk, None, ts, rx)
-    # on the cells: a numpy string column drops trailing NULs
-    chunk.check(~np.fromiter(map(SOURCES.__contains__, source), bool, len(source)),
-                lambda k: f"source must be one of {SOURCES}, got {source[k]!r}")
-    if "\0" in "".join(band):
-        chunk.check(np.fromiter(("\0" in b for b in band), bool, len(band)),
-                    lambda k: f"band must not hold a NUL, got {band[k]!r}")
+    # the source on its cells: a numpy string column drops trailing NULs
+    chunk.check_rules(SAMPLE_RULES, {"timestamp_ms": ts, "received_power_dbm": rx,
+                                     "source": source})
+    check_band(chunk, band)
     return [ts, lat, lon, alt, rx, np.array(band, dtype=str), np.array(source, dtype=str),
             beam, cell]
 

@@ -98,6 +98,24 @@ class TestBinCommand:
         bins = read_bins_csv(bins_path)
         assert bins and all(b.los in ("LOS", "NLOS") for b in bins)
 
+    def test_synth_log_reads_back_through_the_testbed_parser(self, tmp_path):
+        """``synth --emit log`` writes its bins' samples in the testbed-log
+        layout; the parser gives back each timestamp, position and power."""
+        import numpy as np
+
+        from plkit.ingest import parse_testbed_log
+
+        args = ["--n", 300, "--seed", 4, "--gamma", 2.7, "--sigma", 5.0]
+        assert run(["synth", "--emit", "log", "--out", tmp_path / "log"] + args) == 0
+        assert run(["synth", "--out", tmp_path / "bins.csv"] + args) == 0
+        bins = read_bins_csv(tmp_path / "bins.csv")
+        samples = parse_testbed_log(tmp_path / "log" / "testbed_log.csv").table
+        assert np.array_equal(samples.timestamp_ms, 1000 * np.arange(1, len(bins) + 1))
+        assert np.array_equal(samples.lat, bins.lat) and np.array_equal(samples.lon, bins.lon)
+        # the default --tx-power 43 and --rx-gain 4, received on the first beam
+        assert np.array_equal(samples.rx_dbm, 43.0 + 4.0 - bins.pl_db)
+        assert samples.beam_id.tolist() == [0] * len(bins)
+
     def test_fraction_42_percent_fixture(self, tmp_path, capsys):
         origin = GeodeticPoint(47.0, 8.0)
         log_dir = tmp_path / "input"

@@ -267,6 +267,15 @@ class TestJsonInputs:
                                     "features": [feature([SQUARE], properties=None)]}))
         assert [p.label for p in load_polygons(path)] == ["LOS"]
 
+    @pytest.mark.parametrize("los", ["false", None, 0])
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # the bin stage's clamping warnings
+    def test_los_property_that_is_not_a_boolean_exits_2(self, tmp_path, capsys, los):
+        doc = {"type": "FeatureCollection",
+               "features": [feature([SQUARE], {"los": True}), feature([SQUARE], {"los": los})]}
+        out = tmp_path / "bins.csv"
+        assert_exit_2(golden_bin_args(tmp_path, out, polygons=doc), capsys, out,
+                      f"feature 1: property 'los' must be true or false, got {los!r}")
+
     @pytest.mark.parametrize("field, value", [
         ("tx_power_dbm", None),
         ("tx_power_dbm", "x"),
