@@ -456,10 +456,12 @@ def fit_log_distance(
     Like the other consumers of bin tables, it takes a BinTable or GridBin
     records (converted to a table once).
     """
-    if d0_m <= 0:
-        raise ValueError("d0_m must be > 0")
+    models.check_positive(d0_m=d0_m)
     lo = d0_m if min_d_m is None else min_d_m
     hi = math.inf if max_d_m is None else max_d_m
+    for name, value in (("min_d_m", lo), ("max_d_m", hi)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got nan")
     table = _table(bins)
     d_all, pl_all = table.d2d_m if use_2d else table.d3d_m, table.pl_db
     keep = (d_all >= lo) & (d_all <= hi)
@@ -595,8 +597,7 @@ def distance_profile(
 ) -> list[tuple[float, float]]:
     """Median path loss per distance ring of width step_m, sorted by
     distance; returns (ring center, median PL) points."""
-    if step_m <= 0:
-        raise ValueError("step_m must be > 0")
+    models.check_positive(step_m=step_m)
     table = _table(bins)
     d, pl = table.d2d_m if use_2d else table.d3d_m, table.pl_db
     if not np.isfinite(d).all():
@@ -673,6 +674,7 @@ def synthesize_samples(
     Slant distances are log-uniform over the range, bearings uniform, and
     the Gaussian term is drawn in dB. Fully reproducible from the seed.
     """
+    models.check_positive(h_bs_m=h_bs_m, h_ut_m=h_ut_m)
     d3d, shadow, bearings = _draws(distance_range_m, n, sigma_db, seed)
     if distance_range_m[0] <= abs(h_bs_m - h_ut_m):
         raise ValueError("minimum distance must exceed the antenna height difference")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import int_array, read_csv, read_json, write_csv, write_json
+from .columns import int_array, read_csv, read_json, whole, write_csv, write_json
 
 
 @dataclass
@@ -292,10 +292,9 @@ def load_beamset(manifest_path) -> BeamSet:
         if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
             raise ValueError(f"{manifest_path}: beam {i} must be an object with a 'file' "
                              f"path string, got {entry!r}")
-    try:  # each an int, an integral float or a string int() reads, such as "2"
-        rows, cols = (int(v) for v in (layout.get("rows", 1), layout.get("cols", 0))
-                      if not isinstance(v, bool) and int(v) == float(v))
-    except (AttributeError, TypeError, ValueError, OverflowError):
+    try:
+        rows, cols = whole(layout.get("rows", 1)), whole(layout.get("cols", 0))
+    except (AttributeError, ValueError):  # not an object, or a value not whole
         rows = cols = None
     if rows is None or rows < 1 or cols < 0 or rows * (cols or len(entries)) != len(entries):
         raise ValueError(f"{manifest_path}: 'layout' must be an object of integer rows and "

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,32 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, antenna, ingest, models
-from .columns import read_json, write_csv, write_json
+from .columns import json_value, number, read_json, string, whole, write_csv, write_json
 from .geo import GeodeticPoint, load_polygons
-
-
-def _float(value) -> float:
-    """A JSON number, or a string ``float`` reads as a finite one (as in a site config)."""
-    try:
-        if type(value) in (int, float) or isinstance(value, str) and math.isfinite(float(value)):
-            return float(value)
-    except (ValueError, OverflowError):
-        pass
-    raise ValueError("a number")
-
-
-def _whole(value) -> int:
-    """A number (by :func:`_float`'s rule) with no fractional part."""
-    number = _float(value)
-    if not number.is_integer():
-        raise ValueError("a whole number")
-    return value if type(value) is int else int(number)
-
-
-def _path(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError("a path string")
-    return value
 
 
 def _models(value) -> str:
@@ -60,9 +35,9 @@ def _models(value) -> str:
 
 # key: its value's rule, which converts the value or names what it must be
 CONFIG_KEYS = {
-    "site": _path, "pattern": _path, "polygons": _path, "exclusion_mask": _path,
-    "grid_size": _float, "d0": _float, "min_d": _float, "max_d": _float,
-    "models": _models, "output_dir": _path, "seed": _whole,
+    "site": string, "pattern": string, "polygons": string, "exclusion_mask": string,
+    "grid_size": number, "d0": number, "min_d": number, "max_d": number,
+    "models": _models, "output_dir": string, "seed": whole,
 }
 
 
@@ -75,10 +50,8 @@ def _load_config(path) -> dict:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
     defaults = {}
     for key, value in data.items():
-        try:
-            defaults["out" if key == "output_dir" else key] = CONFIG_KEYS[key](value)
-        except ValueError as kind:
-            raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}") from None
+        defaults["out" if key == "output_dir" else key] = json_value(
+            CONFIG_KEYS[key], value, f"{path}: config key {key!r}")
     return defaults
 
 

@@ -24,13 +24,16 @@ each column once and returns the file's columns, and a file with no rows
 is converted as one empty chunk, so every column keeps its dtype.
 
 :func:`read_json` reads a JSON object, naming its file when it cannot;
-:func:`write_json` writes a JSON document, refusing NaN and infinity.
+:func:`number`, :func:`whole` and :func:`string` are the rules of its
+values, which :func:`json_value` applies; :func:`write_json` writes a JSON
+document, refusing NaN and infinity.
 :func:`write_csv` writes columns back with one format string per table,
 cell for cell as ``csv.writer`` writes the rows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -241,6 +244,39 @@ def read_json(path, not_object: str) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"{path}: {not_object}")
     return data
+
+
+# The rules of a JSON input value: each returns the value it reads or raises
+# ValueError naming what it takes (JSON gives exact types: a boolean is no int).
+def number(value) -> float:
+    """A finite int or float, or a string ``float`` reads as finite (``"100"``)."""
+    with contextlib.suppress(ValueError, OverflowError):
+        if type(value) in (int, float, str) and math.isfinite(float(value)):
+            return float(value)
+    raise ValueError("a finite number")
+
+
+def whole(value) -> int:
+    """An int, an integral float or a string ``int`` reads (``"2"``, not ``"2.0"``)."""
+    with contextlib.suppress(ValueError):
+        if type(value) in (int, str) or type(value) is float and value.is_integer():
+            return int(value)
+    raise ValueError("a whole number")
+
+
+def string(value) -> str:
+    if type(value) is not str:
+        raise ValueError("a string")
+    return value
+
+
+def json_value(rule: Callable, value, name: str):
+    """``value`` read by ``rule``; a value it refuses is refused as
+    ``{name} must be <what the rule takes>, got <value>``."""
+    try:
+        return rule(value)
+    except ValueError as kind:
+        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
 
 
 def write_json(path, data) -> None:

@@ -8,7 +8,7 @@ one column per beam) and a per-cell scanner log. The beam-max selection
 
 from __future__ import annotations
 
-import math
+import contextlib
 import operator
 import warnings
 from dataclasses import dataclass, fields
@@ -17,8 +17,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .columns import (POSITIVE, Chunk, Rule, check_record, int_array, read_csv, read_json,
-                      write_csv, write_json)
+from .columns import (POSITIVE, Chunk, Rule, check_record, int_array, json_value, number,
+                      read_csv, read_json, string, whole, write_csv, write_json)
 from .geo import POSITION_RULES, GeodeticPoint
 
 SOURCES = ("TESTBED", "SCANNER")
@@ -302,28 +302,15 @@ SITE_KEYS = {
 
 
 def load_site_config(path) -> SiteConfig:
-    """Load and validate a site-config JSON document: every numeric field
-    must convert to a finite float, and the pattern reference is a string."""
+    """Load and validate a site-config JSON document: ``pattern`` by the
+    string rule, every other field by the number rule (``columns``)."""
     path = Path(path)
     data = read_json(path, "site config must be a JSON object")
     for key, (_, default) in SITE_KEYS.items():
         if default is None and key not in data:
             raise ValueError(f"{path}: site config missing field {key!r}")
-    if not isinstance(data["pattern"], str):
-        raise ValueError(f"{path}: site config field 'pattern' must be a string")
-
-    def number(key, default):
-        value = data.get(key, default)
-        try:
-            result = float(value)
-        except (TypeError, ValueError, OverflowError):
-            result = math.nan
-        if not math.isfinite(result):
-            raise ValueError(f"{path}: site config field {key!r} must be a finite number, "
-                             f"got {value!r}")
-        return result
-
-    values = {attr: data[key] if key == "pattern" else number(key, default)
+    values = {attr: json_value(string if key == "pattern" else number, data.get(key, default),
+                               f"{path}: site config field {key!r}")
               for key, (attr, default) in SITE_KEYS.items()}
     position = GeodeticPoint(*(values.pop(f"site_position.{f.name}")
                                for f in fields(GeodeticPoint)))
@@ -400,6 +387,14 @@ class IndoorSession:
             raise ValueError(f"building {self.building_id}: no outdoor reference samples")
 
 
+def _building_id(value) -> str:
+    """The string or the whole-number rule: a building_id, as its file names spell it."""
+    for rule in (string, whole):
+        with contextlib.suppress(ValueError):
+            return str(rule(value))
+    raise ValueError("a string or a whole number")
+
+
 def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
     """Load indoor/outdoor session pairs from a JSON manifest.
 
@@ -422,16 +417,10 @@ def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
         for key in ("building_id", "indoor_log", "outdoor_log"):
             if key not in entry:
                 raise ValueError(f"{where}: missing {key!r}")
-            if key != "building_id" and not isinstance(entry[key], str):
-                raise ValueError(f"{where}: {key!r} must be a path string, got {entry[key]!r}")
-        floor = entry.get("floor", 0)
-        try:  # an int, an integral float or a string int() reads, such as "2"
-            whole = not isinstance(floor, bool) and int(floor) == float(floor)
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not whole:
-            raise ValueError(f"{where}: floor must be an integer, got {floor!r}")
-        session = (str(entry["building_id"]), int(floor))
+            if key != "building_id":
+                json_value(string, entry[key], f"{where}: {key!r}")
+        session = (json_value(_building_id, entry["building_id"], f"{where}: building_id"),
+                   json_value(whole, entry.get("floor", 0), f"{where}: floor"))
         if any(c in session[0] for c in "/\\\0"):
             raise ValueError(f"{where}: building_id must not hold '/', '\\' or NUL")
         if session in sessions:

@@ -63,17 +63,11 @@ class LinkGeometry:
             object.__setattr__(self, "d3d_m", d3d)
             # the checks below need only the smallest values (NaN propagates)
             d2d, d3d, gap = _smallest(d2d), _smallest(d3d), _smallest(d3d - d2d)
-        for label, v in (
-            ("d2d_m", d2d),
-            ("d3d_m", d3d),
-            ("h_bs_m", self.h_bs_m),
-            ("h_ut_m", self.h_ut_m),
-            ("avg_building_height_m", self.avg_building_height_m),
-            ("avg_street_width_m", self.avg_street_width_m),
-            ("f_ghz", self.f_ghz),
-        ):
-            if not v > 0:
-                raise ValueError(f"{label} must be > 0, got {v!r}")
+        # the scalar link parameters first: a NaN height makes NaN distances
+        check_positive(h_bs_m=self.h_bs_m, h_ut_m=self.h_ut_m,
+                       avg_building_height_m=self.avg_building_height_m,
+                       avg_street_width_m=self.avg_street_width_m, f_ghz=self.f_ghz,
+                       d2d_m=d2d, d3d_m=d3d)
         if gap < -1e-9:
             raise ValueError("d3d_m cannot be smaller than d2d_m")
         if self.city_size not in _CITY_SIZES:
@@ -100,6 +94,14 @@ class LinkGeometry:
         return replace(self, d2d_m=d2d_m, d3d_m=d3d_m)
 
 
+def check_positive(**values) -> None:
+    """Refuse the first value that is not > 0 (NaN is not), by name and as
+    a Python number."""
+    for label, v in values.items():
+        if not v > 0:
+            raise ValueError(f"{label} must be > 0, got {v}")
+
+
 def _smallest(v) -> float:
     """Smallest element of a scalar or array: inf if empty, NaN if any is."""
     return v if isinstance(v, (int, float)) else float(np.min(v, initial=np.inf))
@@ -112,8 +114,7 @@ def _where(cond, a, b):
 
 def fspl_db(distance_m, f_ghz: float):
     """Free-space path loss: 20 log10(d_m) + 20 log10(f_GHz) + 32.45."""
-    if not (_smallest(distance_m) > 0 and f_ghz > 0):
-        raise ValueError("distance and frequency must be > 0")
+    check_positive(distance_m=_smallest(distance_m), f_ghz=f_ghz)
     return 20.0 * np.log10(distance_m) + 20.0 * np.log10(f_ghz) + 32.45
 
 
@@ -124,8 +125,7 @@ def fspl(g: LinkGeometry):
 
 def log_distance(distance_m, a0_db: float, gamma: float, d0_m: float = 100.0):
     """Log-distance mean path loss anchored at reference distance d0."""
-    if not (_smallest(distance_m) > 0 and d0_m > 0):
-        raise ValueError("distances must be > 0")
+    check_positive(distance_m=_smallest(distance_m), d0_m=d0_m)
     return a0_db + 10.0 * gamma * np.log10(distance_m / d0_m)
 
 

@@ -17,6 +17,7 @@ samples (numpy sums those pairwise) and two rows with no beam.
 
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -59,6 +60,29 @@ def test_bin_reproduces_golden_table_bytes(tmp_path):
         warnings.simplefilter("ignore")
         assert main(bin_args(out)) == 0
     assert out.read_bytes() == (GOLDEN / "bins.csv").read_bytes()
+
+
+def test_bin_over_the_log_cut_in_two_writes_the_whole_log_table(tmp_path, capsys):
+    """Two logs bin as one: the golden table, and the parse counts of the
+    two runs summed (each part holds one of the rows with no beam)."""
+    lines = (GOLDEN / "testbed_log.csv").read_text().splitlines(keepends=True)
+    parts = {"a": lines[:200], "b": lines[:1] + lines[200:]}
+    for name, part in parts.items():
+        (tmp_path / f"{name}.csv").write_text("".join(part))
+    counts = {}
+    for logs in (["testbed_log"], ["a"], ["b"], ["a", "b"]):
+        args = bin_args(tmp_path / f"{'_'.join(logs)}_bins.csv")
+        args[1:2] = [str(GOLDEN / "testbed_log.csv")] if logs == ["testbed_log"] else [
+            str(tmp_path / f"{name}.csv") for name in logs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(args) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        counts[tuple(logs)] = [int(n) for n in re.findall(r"\d+", summary)]
+    assert (tmp_path / "a_b_bins.csv").read_bytes() == (GOLDEN / "bins.csv").read_bytes()
+    assert counts[("a", "b")] == counts[("testbed_log",)] == [
+        a + b for a, b in zip(counts[("a",)], counts[("b",)])]
+    assert counts[("a", "b")][2] == 2  # skipped
 
 
 def test_near_mast_run_warns_once_per_kind(tmp_path):

@@ -110,14 +110,17 @@ class TestO2iManifestShape:
         *(({"sessions": [{"building_id": "A", "floor": 0, "indoor_log": "in.csv",
                           "outdoor_log": "out.csv", **session}]}, message)
           for session, message in [
-              ({"floor": None}, "building A: floor must be an integer, got None"),
-              ({"floor": [1]}, "building A: floor must be an integer, got [1]"),
-              ({"floor": 1.7}, "building A: floor must be an integer, got 1.7"),
-              ({"floor": "1.5"}, "building A: floor must be an integer, got '1.5'"),
-              ({"floor": True}, "building A: floor must be an integer, got True"),
-              ({"indoor_log": 3}, "building A: 'indoor_log' must be a path string, got 3"),
+              ({"floor": None}, "building A: floor must be a whole number, got None"),
+              ({"floor": [1]}, "building A: floor must be a whole number, got [1]"),
+              ({"floor": 1.7}, "building A: floor must be a whole number, got 1.7"),
+              ({"floor": "1.5"}, "building A: floor must be a whole number, got '1.5'"),
+              ({"floor": True}, "building A: floor must be a whole number, got True"),
+              ({"indoor_log": 3}, "building A: 'indoor_log' must be a string, got 3"),
               ({"outdoor_log": None},
-               "building A: 'outdoor_log' must be a path string, got None"),
+               "building A: 'outdoor_log' must be a string, got None"),
+              *(({"building_id": bad}, f"building {bad}: building_id must be a string or a "
+                                       f"whole number, got {bad!r}")
+                for bad in (None, True, [1], {"id": 1}, 1.5)),
           ]),
         # each (building, floor) names one output file
         *(({"sessions": [
@@ -222,7 +225,7 @@ class TestGridSize:
         config.write_text('{"grid_size": NaN}')
         out = tmp_path / "bins.csv"
         assert_exit_2(["synth", "--n", 50, "--config", config, "--out", out], capsys, out,
-                      "grid_size must be finite and > 0")
+                      "config key 'grid_size' must be a finite number, got nan")
 
     @pytest.mark.parametrize("size", [math.nan, math.inf, 0.0, -1.0])
     def test_grid_index_and_bin_index_share_the_rule(self, size):
@@ -284,6 +287,8 @@ class TestJsonInputs:
         ("boresight_azimuth_deg", "nan"),
         ("altitude_agl_m", None),
         ("feeder_loss_db", "inf"),
+        ("rx_gain_dbi", True),
+        ("feeder_loss_db", False),
     ])
     def test_bad_site_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
         site = json.loads((GOLDEN / "bin" / "site.json").read_text())
@@ -322,15 +327,15 @@ class TestJsonInputs:
 
 class TestConfigValueTypes:
     @pytest.mark.parametrize("command, config, message", [
-        ("synth", {"grid_size": None}, "'grid_size' must be a number, got None"),
-        ("synth", {"seed": True}, "'seed' must be a number, got True"),
-        ("synth", {"d0": "1e2x"}, "'d0' must be a number, got '1e2x'"),
-        ("synth", {"grid_size": "nan"}, "'grid_size' must be a number, got 'nan'"),
-        ("synth", {"min_d": [1]}, "'min_d' must be a number, got [1]"),
+        ("synth", {"grid_size": None}, "'grid_size' must be a finite number, got None"),
+        ("synth", {"seed": True}, "'seed' must be a whole number, got True"),
+        ("synth", {"d0": "1e2x"}, "'d0' must be a finite number, got '1e2x'"),
+        ("synth", {"grid_size": "nan"}, "'grid_size' must be a finite number, got 'nan'"),
+        ("synth", {"min_d": [1]}, "'min_d' must be a finite number, got [1]"),
         ("compare", {"models": 5}, "'models' must be a string or a list of strings, got 5"),
         ("compare", {"models": ["FSPL", 5]}, "'models' must be a string or a list of strings"),
-        ("compare", {"site": 5}, "'site' must be a path string, got 5"),
-        ("compare", {"output_dir": ["a"]}, "'output_dir' must be a path string"),
+        ("compare", {"site": 5}, "'site' must be a string, got 5"),
+        ("compare", {"output_dir": ["a"]}, "'output_dir' must be a string, got ['a']"),
     ])
     def test_a_value_of_the_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, command,
                                                               config, message):
@@ -342,6 +347,17 @@ class TestConfigValueTypes:
             synth_bins(tmp_path / "bins.csv")
             args.insert(1, tmp_path / "bins.csv")
         assert_exit_2(args, capsys, out, f"config key {message}")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["grid_size", "d0", "min_d", "max_d", "seed"])
+    def test_a_nan_or_infinity_literal_exits_2_naming_the_key(self, tmp_path, capsys, key,
+                                                              literal):
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"{key}": {literal}}}')
+        out = tmp_path / "bins.csv"
+        rule = "a whole number" if key == "seed" else "a finite number"
+        assert_exit_2(["synth", "--n", 50, "--config", path, "--out", out], capsys, out,
+                      f"config key {key!r} must be {rule}, got {float(literal)!r}")
 
     def test_numbers_written_as_strings_still_read(self, tmp_path):
         outputs = []
@@ -367,6 +383,18 @@ class TestO2iFloors:
         assert [p.name for p in out.iterdir()] == ["o2i_A_floor2.csv"]
         assert (out / "o2i_A_floor2.csv").read_bytes() == (
             GOLDEN / "o2i" / "o2i_A_floor0.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("building_id", [7, 7.0, "7"])
+    def test_a_whole_building_id_names_its_file_in_decimal(self, tmp_path, building_id):
+        manifest = tmp_path / "o2i.json"
+        manifest.write_text(json.dumps({"sessions": [{
+            "building_id": building_id,
+            "indoor_log": str(GOLDEN / "o2i" / "indoor_A_f0.csv"),
+            "outdoor_log": str(GOLDEN / "o2i" / "outdoor_A_f0.csv")}]}))
+        out = tmp_path / "cdfs"
+        assert run(["o2i", manifest, "--out", out]) == 0
+        assert [p.name for p in out.iterdir()] == ["o2i_7_floor0.csv"]
 
 
 def bad_line(src, dst, line, column, value):
@@ -477,6 +505,33 @@ class TestBandCells:
         bad_line(path, path, 2, 6, "PHONE")
         with pytest.raises(ValueError, match="line 2: source must be one of"):
             read_samples_csv(path)
+
+
+class TestNanLinkParameters:
+    """A NaN height or fit distance is refused by its own name, not by what
+    it would break further on."""
+
+    @pytest.mark.parametrize("command, flag", [
+        (["synth"], "--h-bs"),
+        (["synth", "--emit", "log"], "--h-bs"),
+        (["synth"], "--h-ut"),
+        (["synth", "--model", "FSPL"], "--h-ut"),
+        (["compare", GOLDEN / "bins.csv", "--models", "FSPL"], "--h-bs"),
+    ], ids=["synth", "synth-log", "synth-h-ut", "synth-model", "compare"])
+    def test_a_nan_height(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        assert_exit_2(command + [flag, "nan", "--out", out], capsys, out,
+                      f"error: h_{flag[-2:]}_m must be > 0, got nan")
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--d0", "d0_m must be > 0, got nan"),
+        ("--min-d", "min_d_m must be a number, got nan"),
+        ("--max-d", "max_d_m must be a number, got nan"),
+    ])
+    def test_a_nan_fit_distance(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "fit.json"
+        assert_exit_2(["fit", GOLDEN / "bin" / "bins.csv", flag, "nan", "--out", out], capsys,
+                      out, f"error: {message}")
 
 
 class TestSynthInputs:
