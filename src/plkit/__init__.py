@@ -1,7 +1,7 @@
 """plkit: path-loss modeling and drive-test analysis for sub-6 GHz coverage.
 
 Modules:
-  geo       tangent-plane projection, link geometry, grid binning, polygons
+  geo       tangent-plane projection, link angles, grid cells, polygons
   antenna   gain patterns, grid-of-beams envelopes, gain lookup
   models    closed-form path-loss model suite with catalog metadata
   ingest    measurement-log and site-config parsing
@@ -30,7 +30,7 @@ from .analysis import (
     synthesize_samples,
 )
 from .antenna import AntennaPattern, BeamSet, envelope, gain_at, peak_gain
-from .geo import GeodeticPoint, GridIndex, LocalPoint, Polygon, bin_index, to_local
+from .geo import GeodeticPoint, GridIndex, LocalPoint, Polygon
 from .ingest import (
     IndoorSession,
     MeasurementSample,

@@ -304,8 +304,7 @@ def cmd_o2i(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for session in sessions:
         cdf = analysis.o2i_cdf(session)
-        name = f"o2i_{session.building_id}_floor{session.floor}.csv"
-        path = out_dir / name
+        path = out_dir / ingest.o2i_file_name(session.building_id, session.floor)
         write_csv(path, ["loss_db", "probability"], [cdf.values, cdf.probabilities])
         median = cdf.values[len(cdf.values) // 2]
         print(f"building {session.building_id} floor {session.floor}: "

@@ -3,10 +3,10 @@
 Positions come in as WGS84 latitude/longitude and are projected onto a
 local east/north/up tangent plane at the site, which is accurate well below
 the 5 m bin resolution for typical macro-cell drive radii (a few km).
-Also provides 2D/3D link distances, azimuth/elevation toward a receiver,
-square-grid binning, and polygon containment for LOS classification.
-``project``/``unproject``, ``link_angles``, ``hypot`` and ``points_in_ring``
-take floats or numpy arrays; the point-object functions wrap them.
+``project``/``unproject``, ``link_angles`` (ground distance, azimuth and
+elevation toward each receiver), ``hypot`` and ``points_in_ring`` (polygon
+containment for LOS classification) take floats or numpy arrays;
+``to_local``, ``from_local`` and ``point_in_ring`` wrap them for one point.
 """
 
 from __future__ import annotations
@@ -186,55 +186,15 @@ def _elementwise(fn, x, y):
     return np.fromiter(flat, dtype=float, count=x.size).reshape(x.shape)
 
 
-def distance_2d(a: LocalPoint, b: LocalPoint) -> float:
-    """Horizontal (ground) distance in meters."""
-    return math.hypot(b.east - a.east, b.north - a.north)
-
-
-def distance_3d(
-    a: LocalPoint, b: LocalPoint, height_a: float = 0.0, height_b: float = 0.0
-) -> float:
-    """Slant distance in meters including antenna heights above each point.
-
-    Heights are added to the points' up coordinates, so ``a`` at height 10
-    and ``b`` at height 10 on the same spot are 0 m apart.
-    """
-    if height_a < 0 or height_b < 0:
-        raise ValueError("antenna heights must be >= 0")
-    dz = (b.up + height_b) - (a.up + height_a)
-    return math.hypot(distance_2d(a, b), dz)
-
-
-def azimuth_elevation(
-    bs: LocalPoint, ue: LocalPoint, bs_height: float = 0.0, ue_height: float = 0.0
-) -> tuple[float, float]:
-    """Angles from the BS antenna toward the UE antenna.
-
-    Returns (azimuth, elevation) in degrees: azimuth clockwise from true
-    north in [0, 360), elevation in [-90, 90] and negative when the UE sits
-    below the BS antenna.
-    """
-    dz = (ue.up + ue_height) - (bs.up + bs_height)
-    horiz, azimuth, elevation = link_angles(ue.east - bs.east, ue.north - bs.north, dz)
-    if horiz == 0.0 and dz == 0.0:
-        raise ValueError("azimuth/elevation undefined for coincident points")
-    return azimuth, elevation
-
-
 def link_angles(de, dn, dz):
-    """Ground distance, azimuth and elevation (degrees, as in
-    :func:`azimuth_elevation`) of east/north/up offsets from the BS
-    antenna; floats or equal-shape numpy arrays."""
+    """Ground distance, azimuth and elevation of east/north/up offsets from
+    the BS antenna; floats or equal-shape numpy arrays. Degrees: azimuth
+    clockwise from true north, from 0 up to 360, elevation in [-90, 90] and
+    negative toward a receiver below the antenna."""
     horiz = hypot(de, dn)
     azimuth = _elementwise(math.atan2, de, dn) * _DEG % 360.0
     elevation = _elementwise(math.atan2, dz, horiz) * _DEG
     return horiz, azimuth, elevation
-
-
-def bin_index(p: LocalPoint, grid_size: float = 5.0) -> GridIndex:
-    """Square-grid cell containing a local point (floor convention)."""
-    check_grid_size(grid_size)
-    return GridIndex(math.floor(p.east / grid_size), math.floor(p.north / grid_size), grid_size)
 
 
 def _on_segment(x, y, x1, y1, x2, y2, eps=1e-9):
@@ -283,15 +243,9 @@ def point_in_ring(x: float, y: float, ring) -> bool:
 
 def project_polygon(origin: GeodeticPoint, poly: Polygon) -> list[tuple[float, float]]:
     """Polygon vertices as (east, north) pairs on the tangent plane at origin."""
-    return [(lp.east, lp.north) for lp in (to_local(origin, v) for v in poly.vertices)]
-
-
-def point_in_polygon(p: GeodeticPoint, poly: Polygon) -> bool:
-    """Geodetic containment test; projects everything onto one tangent plane."""
-    origin = poly.vertices[0]
-    ring = project_polygon(origin, poly)
-    lp = to_local(origin, p)
-    return point_in_ring(lp.east, lp.north, ring)
+    lat, lon = np.array([(v.latitude, v.longitude) for v in poly.vertices], dtype=float).T
+    east, north = project(origin, lat, lon)
+    return list(zip(east.tolist(), north.tolist()))
 
 
 def _is_position(p) -> bool:

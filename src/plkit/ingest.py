@@ -252,11 +252,11 @@ def parse_scanner_log(
     return result
 
 
-# what a SiteConfig checks, of its own values or of a site-config file's
+# what a SiteConfig checks, of its own values or of a site-config file's (bounds: README)
 SITE_RULES = {
     "tx_power_dbm": Rule("tx_power_dbm {value} outside (0, 90]", POSITIVE, 90.0),
-    "antenna_height_agl_m": Rule("antenna_height_agl_m must be > 0", POSITIVE),
-    "ue_height_m": Rule("ue_height_m must be > 0", POSITIVE),
+    "antenna_height_agl_m": Rule("antenna_height_agl_m {value} outside (0, 1000]", POSITIVE, 1e3),
+    "ue_height_m": Rule("ue_height_m {value} outside (0, 1000]", POSITIVE, 1e3),
     "carrier_freq_ghz": Rule("carrier_freq_ghz must be > 0", POSITIVE),
     "feeder_loss_db": Rule("feeder_loss_db must be >= 0", 0.0),
 }
@@ -395,6 +395,11 @@ def _building_id(value) -> str:
     raise ValueError("a string or a whole number")
 
 
+def o2i_file_name(building_id: str, floor: int) -> str:
+    """The name of one building and floor's o2i CDF file."""
+    return f"o2i_{building_id}_floor{floor}.csv"
+
+
 def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
     """Load indoor/outdoor session pairs from a JSON manifest.
 
@@ -423,6 +428,9 @@ def load_indoor_sessions(manifest_path) -> list[IndoorSession]:
                    json_value(whole, entry.get("floor", 0), f"{where}: floor"))
         if any(c in session[0] for c in "/\\\0"):
             raise ValueError(f"{where}: building_id must not hold '/', '\\' or NUL")
+        if len(o2i_file_name(*session).encode()) > 255:  # the name limit of ext4, XFS and APFS
+            key = "floor" if len(str(session[1])) > len(session[0].encode()) else "building_id"
+            raise ValueError(f"{where}: {key} too long for the output file name (over 255 bytes)")
         if session in sessions:
             raise ValueError(f"{where}: floor {session[1]} is listed twice")
         sessions[session] = entry

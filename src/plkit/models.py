@@ -17,7 +17,7 @@ extrapolate all the time); ``out_of_validity`` flags such links and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -77,15 +77,6 @@ class LinkGeometry:
     def at(cls, d2d_m, f_ghz: float, h_bs_m: float, h_ut_m: float, **kw) -> "LinkGeometry":
         """Build from ground distance; slant distance follows from heights."""
         return cls(d2d_m, np.hypot(d2d_m, h_bs_m - h_ut_m), f_ghz, h_bs_m, h_ut_m, **kw)
-
-    @classmethod
-    def at_slant(cls, d3d_m, f_ghz: float, h_bs_m: float, h_ut_m: float, **kw) -> "LinkGeometry":
-        """Build from slant distance; ground distance follows from heights."""
-        dh = abs(h_bs_m - h_ut_m)
-        if _smallest(d3d_m) < dh:
-            raise ValueError(f"slant distance {d3d_m} m shorter than height difference {dh} m")
-        d2d = np.sqrt(np.maximum(np.square(d3d_m) - dh * dh, 0.0))
-        return cls(d2d, d3d_m, f_ghz, h_bs_m, h_ut_m, **kw)
 
     def with_distance(self, d2d_m) -> "LinkGeometry":
         return replace(self, d2d_m=d2d_m, d3d_m=np.hypot(d2d_m, self.h_bs_m - self.h_ut_m))
@@ -519,21 +510,11 @@ def validity_warnings(model_id: str, g: LinkGeometry) -> list[str]:
 
 @dataclass
 class PredictionSeries:
-    """Model curve sampled over a distance sweep, with per-point validity."""
+    """Model curve sampled over a distance sweep."""
 
     model_id: str
     distances_m: list[float]
     path_loss_db: list[float]
-    _links: LinkGeometry = field(repr=False, compare=False)
-
-    @property
-    def point_warnings(self) -> list[list[str]]:
-        """The validity messages of each point, formatted when read."""
-        warns: list[list[str]] = [[] for _ in self.distances_m]
-        for outside, fmt, v in _validity_rules(get_model(self.model_id), self._links):
-            for i in np.flatnonzero(outside):
-                warns[i].append(fmt.format(v[i]))
-        return warns
 
 
 def predict_series(model_id: str, template: LinkGeometry, distances_m) -> PredictionSeries:
@@ -550,7 +531,7 @@ def predict_series(model_id: str, template: LinkGeometry, distances_m) -> Predic
     if np.any(np.diff(d) < 0):
         raise ValueError("distances must be sorted ascending")
     g = template.with_distance(d)
-    return PredictionSeries(info.model_id, d.tolist(), info.evaluate(g).tolist(), g)
+    return PredictionSeries(info.model_id, d.tolist(), info.evaluate(g).tolist())
 
 
 def catalog_json() -> list[dict]:

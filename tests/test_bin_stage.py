@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plkit import analysis
@@ -39,6 +39,7 @@ from plkit.geo import (
     point_in_ring,
     points_in_ring,
     project,
+    project_polygon,
     to_local,
     unproject,
 )
@@ -336,6 +337,36 @@ def test_array_projection_equals_scalar_projection(rng):
     locals_ = [to_local(origin, p) for p in points]
     assert e2.tolist() == [p.east for p in locals_]
     assert n2.tolist() == [p.north for p in locals_]
+
+
+@st.composite
+def origin_and_polygon(draw):
+    """An origin anywhere below the poles and a ring of 3 to 12 vertices
+    within 0.5 degrees of it, across the antimeridian where the origin is
+    near it; a whole-degree coordinate is an int, as json.load reads one."""
+    def point(lat, lon):
+        return GeodeticPoint(*(int(v) if v.is_integer() else v for v in (lat, lon)))
+
+    lat0, lon0 = draw(st.floats(-89.0, 89.0)), draw(st.floats(-180.0, 180.0))
+    offsets = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+    vertices = []
+    for dlat, dlon in draw(st.lists(offsets, min_size=3, max_size=12)):
+        lon = lon0 + dlon
+        vertices.append(point(lat0 + dlat, lon - 360.0 * (lon > 180.0) + 360.0 * (lon < -180.0)))
+    first, last = vertices[0], vertices[-1]
+    assume((first.latitude, first.longitude) != (last.latitude, last.longitude))
+    return point(lat0, lon0), Polygon(tuple(vertices))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(origin_and_polygon())
+@example((GeodeticPoint(-17, 180), Polygon((
+    GeodeticPoint(-17, 180), GeodeticPoint(-17.2, -179.8), GeodeticPoint(-16.9, 179.6)))))
+def test_project_polygon_equals_per_vertex_projection(case):
+    origin, poly = case
+    want = [(lp.east, lp.north) for lp in (to_local(origin, v) for v in poly.vertices)]
+    got = project_polygon(origin, poly)
+    assert [(e.hex(), n.hex()) for e, n in got] == [(e.hex(), n.hex()) for e, n in want]
 
 
 def test_array_projection_names_the_first_far_point():

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from plkit.analysis import read_bins_csv, write_bins_csv
+from plkit.analysis import aggregate_bins, read_bins_csv, write_bins_csv
 from plkit.antenna import load_beamset, save_beamset, synthetic_aas_beamset
 from plkit.cli import main
-from plkit.geo import GridIndex, LocalPoint, bin_index, load_polygons
-from plkit.ingest import read_samples_csv
+from plkit.geo import GeodeticPoint, GridIndex, load_polygons
+from plkit.ingest import SampleTable, read_samples_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -134,6 +134,11 @@ class TestO2iManifestShape:
                "building ../x: building_id must not hold '/', '\\' or NUL"),
               ({"building_id": "a\\b"}, "building_id must not hold '/', '\\' or NUL"),
               ({"building_id": "a\0b"}, "building_id must not hold '/', '\\' or NUL"),
+              # o2i_B01_floor<309 digits>.csv, o2i_<300 b>_floor0.csv
+              ({"building_id": "B01", "floor": 1e308},
+               "building B01: floor too long for the output file name (over 255 bytes)"),
+              ({"building_id": "b" * 300}, f"building {'b' * 300}: building_id too long for "
+                                           "the output file name (over 255 bytes)"),
           ]),
     ])
     def test_malformed_manifest_exits_2(self, tmp_path, capsys, manifest, message):
@@ -228,11 +233,11 @@ class TestGridSize:
                       "config key 'grid_size' must be a finite number, got nan")
 
     @pytest.mark.parametrize("size", [math.nan, math.inf, 0.0, -1.0])
-    def test_grid_index_and_bin_index_share_the_rule(self, size):
+    def test_grid_index_and_aggregate_bins_share_the_rule(self, size):
         with pytest.raises(ValueError, match="grid_size must be finite and > 0"):
             GridIndex(0, 0, size)
         with pytest.raises(ValueError, match="grid_size must be finite and > 0"):
-            bin_index(LocalPoint(1.0, 1.0), size)
+            aggregate_bins(SampleTable.from_samples([]), GeodeticPoint(47.0, 8.0), size)
 
 
 SQUARE = [[8.0, 47.0], [8.001, 47.0], [8.001, 47.001], [8.0, 47.001], [8.0, 47.0]]
@@ -296,6 +301,15 @@ class TestJsonInputs:
         out = tmp_path / "bins.csv"
         assert_exit_2(golden_bin_args(tmp_path, out, site=site), capsys, out,
                       f"site config field {field!r} must be a finite number")
+
+    @pytest.mark.parametrize("field", ["antenna_height_agl_m", "ue_height_m"])
+    @pytest.mark.parametrize("height", [1000.5, 1e308])
+    def test_site_height_above_1000_m_exits_2_naming_it(self, tmp_path, capsys, field, height):
+        site = json.loads((GOLDEN / "bin" / "site.json").read_text())
+        site[field] = height
+        out = tmp_path / "bins.csv"
+        assert_exit_2(golden_bin_args(tmp_path, out, site=site), capsys, out,
+                      f"{field} {height!r} outside (0, 1000]")
 
     @pytest.mark.parametrize("site, message", [
         ([1, 2], "site config must be a JSON object"),

@@ -4,21 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from plkit.analysis import GridBin, aggregate_bins, classify_los
 from plkit.geo import (
     GeodeticPoint,
     GridIndex,
     LocalPoint,
     Polygon,
-    azimuth_elevation,
-    bin_index,
-    distance_2d,
-    distance_3d,
     from_local,
+    hypot,
+    link_angles,
     load_polygons,
-    point_in_polygon,
     point_in_ring,
     to_local,
 )
+from plkit.ingest import MeasurementSample
 
 WGS84_A = 6378137.0
 WGS84_E2 = (1 / 298.257223563) * (2 - 1 / 298.257223563)
@@ -123,86 +122,95 @@ class TestProjection:
 
 
 class TestDistances:
+    """The ground distance of link_angles, and the slant distance as
+    extract_path_loss takes it: hypot of ground distance and height gap."""
+
     def test_colocated(self):
-        p = LocalPoint(10.0, -3.0)
-        assert distance_3d(p, p, 10.0, 10.0) == 0.0
-        assert distance_2d(p, p) == 0.0
+        horiz, _, _ = link_angles(0.0, 0.0, 0.0)
+        assert horiz == 0.0
+        assert hypot(horiz, 0.0) == 0.0
 
     def test_pythagoras(self):
         # 300 m ground, heights 29.4 and 1.4 -> sqrt(300^2 + 28^2)
-        bs = LocalPoint(0.0, 0.0)
-        ue = LocalPoint(0.0, 300.0)
-        assert distance_3d(bs, ue, 29.4, 1.4) == pytest.approx(math.sqrt(300**2 + 28**2))
-        assert distance_3d(bs, ue, 29.4, 1.4) == pytest.approx(301.30, abs=0.005)
+        dz = 1.4 - 29.4
+        horiz, _, _ = link_angles(0.0, 300.0, dz)
+        assert hypot(horiz, dz) == pytest.approx(math.sqrt(300**2 + 28**2))
+        assert hypot(horiz, dz) == pytest.approx(301.30, abs=0.005)
 
     def test_pure_vertical(self):
-        p = LocalPoint(5.0, 5.0)
-        assert distance_3d(p, p, 24.5, 2.1) == pytest.approx(22.4)
+        dz = 2.1 - 24.5
+        horiz, _, _ = link_angles(0.0, 0.0, dz)
+        assert hypot(horiz, dz) == pytest.approx(22.4)
 
     def test_symmetry_and_bounds(self, rng):
-        for _ in range(100):
-            a = LocalPoint(*rng.uniform(-1000, 1000, 2), rng.uniform(0, 20))
-            b = LocalPoint(*rng.uniform(-1000, 1000, 2), rng.uniform(0, 20))
-            ha, hb = rng.uniform(0, 50, 2)
-            d = distance_3d(a, b, ha, hb)
-            assert d == pytest.approx(distance_3d(b, a, hb, ha))
-            assert d >= abs((b.up + hb) - (a.up + ha)) - 1e-12
-            assert d >= distance_2d(a, b) - 1e-12
-
-    def test_negative_height_rejected(self):
-        with pytest.raises(ValueError):
-            distance_3d(LocalPoint(0, 0), LocalPoint(1, 1), -1.0, 0.0)
+        a, b = rng.uniform(-1000, 1000, (2, 2, 100))
+        dz = rng.uniform(0, 70, 100) - rng.uniform(0, 70, 100)  # antenna tops above ground
+        horiz, _, _ = link_angles(*(b - a), dz)
+        back, _, _ = link_angles(*(a - b), -dz)
+        d = hypot(horiz, dz)
+        assert d == pytest.approx(hypot(back, -dz))
+        assert (d >= np.abs(dz) - 1e-12).all()
+        assert (d >= horiz - 1e-12).all()
 
 
 class TestAzimuthElevation:
     def test_due_north_level(self):
-        az, el = azimuth_elevation(LocalPoint(0, 0), LocalPoint(0, 100), 10.0, 10.0)
+        _, az, el = link_angles(0.0, 100.0, 0.0)
         assert az == pytest.approx(0.0)
         assert el == pytest.approx(0.0)
 
     def test_due_east_depressed(self):
-        az, el = azimuth_elevation(LocalPoint(0, 0), LocalPoint(100, 0), 24.5, 2.1)
+        _, az, el = link_angles(100.0, 0.0, 2.1 - 24.5)
         assert az == pytest.approx(90.0)
         assert el == pytest.approx(math.degrees(math.atan2(-22.4, 100.0)))
         assert el == pytest.approx(-12.63, abs=0.005)
 
     def test_due_south(self):
-        az, _ = azimuth_elevation(LocalPoint(0, 0), LocalPoint(0, -50))
+        _, az, _ = link_angles(0.0, -50.0, 0.0)
         assert az == pytest.approx(180.0)
 
     def test_bearing_matches_request(self, rng):
-        bs = LocalPoint(0, 0)
-        for _ in range(100):
-            bearing = rng.uniform(0, 360)
-            r = rng.uniform(1, 2000)
-            ue = LocalPoint(r * math.sin(math.radians(bearing)),
-                            r * math.cos(math.radians(bearing)))
-            az, _ = azimuth_elevation(bs, ue)
-            diff = (az - bearing + 180.0) % 360.0 - 180.0
-            assert abs(diff) < 1e-9
+        bearing = rng.uniform(0, 360, 100)
+        r = rng.uniform(1, 2000, 100)
+        _, az, _ = link_angles(r * np.sin(np.radians(bearing)), r * np.cos(np.radians(bearing)),
+                               0.0)
+        assert ((0.0 <= az) & (az <= 360.0)).all()
+        diff = (az - bearing + 180.0) % 360.0 - 180.0
+        assert (np.abs(diff) < 1e-9).all()
 
-    def test_coincident_rejected(self):
-        with pytest.raises(ValueError):
-            azimuth_elevation(LocalPoint(1, 1, 0), LocalPoint(1, 1, 0), 5.0, 5.0)
+
+ORIGIN = GeodeticPoint(47.0, 8.0)
+
+
+def one_sample_bin(east, north, grid_size=5.0):
+    """The bin aggregate_bins makes of one sample at east/north m from ORIGIN."""
+    sample = MeasurementSample(timestamp_ms=1000, received_power_dbm=-80.0, band="3.5GHz",
+                               source="TESTBED",
+                               position=from_local(ORIGIN, LocalPoint(east, north)))
+    [aggregate] = aggregate_bins([sample], ORIGIN, grid_size)
+    return aggregate
 
 
 class TestBinIndex:
     def test_origin(self):
-        assert bin_index(LocalPoint(0.0, 0.0), 5.0).key == (0, 0)
+        assert one_sample_bin(0.0, 0.0).index.key == (0, 0)
 
     def test_floor_negative(self):
-        assert bin_index(LocalPoint(12.3, -0.1), 5.0).key == (2, -1)
+        assert one_sample_bin(12.3, -0.1).index.key == (2, -1)
 
     def test_boundary_interior(self):
-        assert bin_index(LocalPoint(4.999, 4.999), 5.0).key == (0, 0)
+        assert one_sample_bin(4.999, 4.999).index.key == (0, 0)
 
     def test_translation_consistency(self, rng):
         for _ in range(200):
-            p = LocalPoint(*rng.uniform(-500, 500, 2))
+            east, north = rng.uniform(-500, 500, 2)
             g = rng.uniform(0.5, 20.0)
-            base = bin_index(p, g)
-            shifted = bin_index(LocalPoint(p.east + g, p.north), g)
-            assert (shifted.ix, shifted.iy) == (base.ix + 1, base.iy)
+            base = one_sample_bin(east, north, g)
+            shifted = one_sample_bin(east + g, north, g)
+            assert (shifted.index.ix, shifted.index.iy) == (base.index.ix + 1, base.index.iy)
+            # floor convention on the projected position, the one-sample centroid
+            c = base.centroid
+            assert base.index.key == (math.floor(c.east / g), math.floor(c.north / g))
 
 
 L_SHAPE = [(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (1.0, 1.0), (1.0, 3.0), (0.0, 3.0)]
@@ -245,8 +253,10 @@ class TestPointInPolygon:
             GeodeticPoint(47.010, 8.010),
             GeodeticPoint(47.010, 8.000),
         ))
-        assert point_in_polygon(GeodeticPoint(47.005, 8.005), poly)
-        assert not point_in_polygon(GeodeticPoint(47.020, 8.005), poly)
+        site = GeodeticPoint(47.003, 8.002)
+        bins = [GridBin(GridIndex(i, 0), 120.0, 300.0, 300.0, 1, centroid=to_local(site, p))
+                for i, p in enumerate([GeodeticPoint(47.005, 8.005), GeodeticPoint(47.020, 8.005)])]
+        assert [b.los for b in classify_los(bins, [poly], site)] == ["LOS", "NLOS"]
 
 
 class TestGeoJson:

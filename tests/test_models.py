@@ -40,10 +40,6 @@ class TestLinkGeometry:
         g = LinkGeometry.at(300.0, 3.5, 29.4, 1.4)
         assert g.d3d_m == pytest.approx(math.sqrt(300**2 + 28**2))
 
-    def test_ground_from_slant(self):
-        g = LinkGeometry.at_slant(math.sqrt(300**2 + 28**2), 3.5, 29.4, 1.4)
-        assert g.d2d_m == pytest.approx(300.0, abs=1e-9)
-
     def test_rejects_d3d_below_d2d(self):
         with pytest.raises(ValueError):
             LinkGeometry(100.0, 50.0, 3.5, 25.0, 1.5)
@@ -332,10 +328,11 @@ class TestPredictSeries:
         with pytest.raises(ValueError, match="sorted"):
             predict_series("FSPL", geometry(), [200.0, 100.0])
 
-    def test_series_carries_validity_warnings(self):
-        series = predict_series("SUI_C", geometry(h_ut=1.5), [50.0, 500.0])
-        assert series.point_warnings[0]  # below 100 m and UE below 2 m
-        assert any("UE height" in w for w in series.point_warnings[1])
+    def test_sweep_links_carry_validity_warnings(self):
+        template = geometry(h_ut=1.5)
+        near, far = (validity_warnings("SUI_C", template.with_distance(d)) for d in (50.0, 500.0))
+        assert near  # below 100 m and UE below 2 m
+        assert any("UE height" in w for w in far)
 
 
 class TestCatalog:
