@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from . import models
-from .columns import POSITIVE, Chunk, Rule, check_record, int_array, read_csv, write_csv
+from .columns import FINITE, POSITIVE, Chunk, Rule, check_record, int_array, read_csv, write_csv
 from .antenna import AntennaPattern, gain_at
 from .geo import (
     POSITION_RULES,
@@ -42,7 +42,7 @@ LOS_LABELS = ("LOS", "NLOS", "UNKNOWN")
 
 # what a GridBin checks, and every path that fills bin columns
 BIN_RULES = {
-    "path_loss_db": Rule("path loss must be positive, got {value}", POSITIVE),
+    "path_loss_db": Rule("path loss must be finite and > 0, got {value}", POSITIVE, FINITE),
     "sample_count": Rule("sample_count must be >= 1", 1),
     "los": Rule("los must be one of {allowed}", allowed=LOS_LABELS),
 }
@@ -462,6 +462,8 @@ def fit_log_distance(
     for name, value in (("min_d_m", lo), ("max_d_m", hi)):
         if math.isnan(value):
             raise ValueError(f"{name} must be a number, got nan")
+    if pin_a0_db is not None and not math.isfinite(pin_a0_db):
+        raise ValueError(f"pin_a0_db must be finite, got {pin_a0_db}")
     table = _table(bins)
     d_all, pl_all = table.d2d_m if use_2d else table.d3d_m, table.pl_db
     keep = (d_all >= lo) & (d_all <= hi)
@@ -630,6 +632,8 @@ def _bins_from_arrays(
     BIN_RULES["path_loss_db"].check(pl)
     dh = h_bs_m - h_ut_m
     d2d = np.sqrt(d3d**2 - dh**2)
+    if not float(np.min(d2d, initial=np.inf)) > 0.0:  # lost in d3d**2 below about 1e-8 |dh|
+        raise ValueError("minimum distance too small: a bin's d2d_m rounds to 0")
     east = d2d * np.sin(np.radians(bearings_deg))
     north = d2d * np.cos(np.radians(bearings_deg))
     ix, iy = _cells(east, north, grid_size)
@@ -674,7 +678,7 @@ def synthesize_samples(
     Slant distances are log-uniform over the range, bearings uniform, and
     the Gaussian term is drawn in dB. Fully reproducible from the seed.
     """
-    models.check_positive(h_bs_m=h_bs_m, h_ut_m=h_ut_m)
+    models.check_link(h_bs_m=h_bs_m, h_ut_m=h_ut_m)
     d3d, shadow, bearings = _draws(distance_range_m, n, sigma_db, seed)
     if distance_range_m[0] <= abs(h_bs_m - h_ut_m):
         raise ValueError("minimum distance must exceed the antenna height difference")
@@ -721,7 +725,7 @@ def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
     write_csv(path, BIN_FIELDS, [getattr(bins, name) for name in BIN_FIELDS])
 
 
-def _read_bin_rows(chunk: Chunk, grid_size: float) -> list:
+def _read_bin_rows(chunk: Chunk) -> list:
     """The columns of one chunk of bin-table rows, in file order, checked in
     the order a GridBin built from each row checks them."""
     width = len(BIN_FIELDS)
@@ -737,10 +741,6 @@ def _read_bin_rows(chunk: Chunk, grid_size: float) -> list:
         lambda k: ("need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
                    f"got pl_db={pl_s[k]}, d2d_m={d2d_s[k]}, d3d_m={d3d_s[k]}"))
     ix, iy = (chunk.parse(int, c) for c in (ix_s, iy_s))
-    try:
-        check_grid_size(grid_size)  # what GridIndex checks
-    except ValueError as exc:
-        chunk.fail(0, str(exc))
     count = chunk.parse(int, count_s)
     # the labels on their cells: a numpy string column drops trailing NULs
     chunk.check_rules(BIN_RULES, {"path_loss_db": pl, "sample_count": count, "los": los})
@@ -758,6 +758,6 @@ def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:
     Rejects, with the line number, rows whose path loss is not finite or
     whose distances are not finite with 0 < d2d_m <= d3d_m.
     """
-    read = read_csv(path, BIN_FIELDS, "wrong field count",
-                    lambda chunk: _read_bin_rows(chunk, grid_size))
+    check_grid_size(grid_size)
+    read = read_csv(path, BIN_FIELDS, "wrong field count", _read_bin_rows)
     return BinTable(**dict(zip(BIN_FIELDS, read)), grid_size=grid_size)

@@ -55,6 +55,17 @@ def _load_config(path) -> dict:
     return defaults
 
 
+# each link flag: the LinkGeometry keyword it sets (its dest)
+LINK_FLAGS = {"--freq": "f_ghz", "--h-bs": "h_bs_m", "--h-ut": "h_ut_m",
+              "--avg-building-height": "avg_building_height_m",
+              "--avg-street-width": "avg_street_width_m"}
+
+
+def _add_link_flags(p) -> None:
+    for flag, key in LINK_FLAGS.items():
+        p.add_argument(flag, dest=key, type=float, default=None)
+
+
 def _link(args, site: ingest.SiteConfig | None = None) -> dict:
     """``LinkGeometry`` keywords for the link flags: each value from its
     flag, else from ``site``, else its default (LinkGeometry's for the
@@ -62,10 +73,8 @@ def _link(args, site: ingest.SiteConfig | None = None) -> dict:
     link = ({"f_ghz": 3.55, "h_bs_m": 25.0, "h_ut_m": 1.5} if site is None else
             {"f_ghz": site.carrier_freq_ghz, "h_bs_m": site.antenna_height_agl_m,
              "h_ut_m": site.ue_height_m})
-    flags = {"f_ghz": args.freq, "h_bs_m": args.h_bs, "h_ut_m": args.h_ut,
-             "avg_building_height_m": args.avg_building_height,
-             "avg_street_width_m": args.avg_street_width}
-    link.update((key, value) for key, value in flags.items() if value is not None)
+    link.update((key, getattr(args, key)) for key in LINK_FLAGS.values()
+                if getattr(args, key) is not None)
     return link
 
 
@@ -195,7 +204,7 @@ def _filter_split(bins: analysis.BinTable, split: str) -> analysis.BinTable:
 
 
 def cmd_fit(args) -> int:
-    bins = analysis.read_bins_csv(args.bins, grid_size=args.grid_size)
+    bins = analysis.read_bins_csv(args.bins)
     bins = _filter_split(bins, args.split)
     if not len(bins):
         raise ValueError(f"no bins with label {args.split!r}")
@@ -218,7 +227,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    bins = analysis.read_bins_csv(args.bins, grid_size=args.grid_size)
+    bins = analysis.read_bins_csv(args.bins)
     if not len(bins):
         raise ValueError("empty bin table")
     model_ids = [m.strip().upper() for m in (args.models or "").split(",") if m.strip()]
@@ -231,7 +240,7 @@ def cmd_compare(args) -> int:
     site = ingest.load_site_config(args.site) if args.site else None
     template = models.LinkGeometry.at(bins.d2d_m[0].item(), **_link(args, site))
     if any(m.startswith("TR38901_RMA") for m in model_ids) and (
-        args.avg_building_height is None or args.avg_street_width is None
+        args.avg_building_height_m is None or args.avg_street_width_m is None
     ):
         print(
             "note: rural-macro clutter defaults in use "
@@ -285,8 +294,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_offset(args) -> int:
-    bins_high = analysis.read_bins_csv(args.bins_high, grid_size=args.grid_size)
-    bins_low = analysis.read_bins_csv(args.bins_low, grid_size=args.grid_size)
+    bins_high = analysis.read_bins_csv(args.bins_high)
+    bins_low = analysis.read_bins_csv(args.bins_low)
     pairs = analysis.pair_bins_by_index(bins_high, bins_low)
     if not len(pairs):
         raise ValueError("the two bin tables share no grid cells")
@@ -321,20 +330,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, summary, config=True, grid_size=True):
+    def add(name, func, summary, config=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func, parser=p)
         if command not in (None, name):  # another command runs: drop these arguments unbuilt
             return SimpleNamespace(add_argument=lambda *args, **kwargs: None)
         if config:
             p.add_argument("--config", help="JSON config file; explicit flags win")
-        if grid_size:
-            p.add_argument("--grid-size", dest="grid_size", type=float, default=5.0)
         return p
 
     d0 = {"type": float, "default": 100.0}
 
     p = add("synth", cmd_synth, "generate synthetic bins or a synthetic testbed log")
+    p.add_argument("--grid-size", type=float, default=5.0)
     p.add_argument("--emit", choices=["bins", "log"], default="bins")
     p.add_argument("--out", required=True,
                    help="bin CSV path (emit=bins) or output directory (emit=log)")
@@ -349,11 +357,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--d0", **d0)
     p.add_argument("--model", default=None,
                    help="draw the mean loss from a catalog model instead of a0/gamma")
-    p.add_argument("--freq", type=float, default=None)
-    p.add_argument("--h-bs", dest="h_bs", type=float, default=None)
-    p.add_argument("--h-ut", dest="h_ut", type=float, default=None)
-    p.add_argument("--avg-building-height", type=float, default=None)
-    p.add_argument("--avg-street-width", type=float, default=None)
+    _add_link_flags(p)
     p.add_argument("--band", default="3.5GHz")
     p.add_argument("--los", choices=["unknown", "los", "nlos"], default="unknown")
     p.add_argument("--lat", type=float, default=47.0)
@@ -362,6 +366,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--rx-gain", dest="rx_gain", type=float, default=4.0)
 
     p = add("bin", cmd_bin, "parse logs and write the binned path-loss table")
+    p.add_argument("--grid-size", type=float, default=5.0)
     p.add_argument("logs", nargs="+", help="measurement log CSV files")
     p.add_argument("--site", default=None, help="site config JSON")
     p.add_argument("--pattern", default=None,
@@ -390,11 +395,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("--models", default=None,
                    help="comma-separated model ids (default: whole catalog)")
     p.add_argument("--site", default=None, help="site config supplying freq/heights")
-    p.add_argument("--freq", type=float, default=None)
-    p.add_argument("--h-bs", dest="h_bs", type=float, default=None)
-    p.add_argument("--h-ut", dest="h_ut", type=float, default=None)
-    p.add_argument("--avg-building-height", type=float, default=None)
-    p.add_argument("--avg-street-width", type=float, default=None)
+    _add_link_flags(p)
     p.add_argument("--curve-points", dest="curve_points", type=int, default=200)
     p.add_argument("--out", default=None,
                    help="output directory (default: the config's output_dir)")
@@ -404,11 +405,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p.add_argument("bins_low", help="bin table of the lower band")
     p.add_argument("--out", required=True)
 
-    p = add("o2i", cmd_o2i, "outdoor-to-indoor penetration CDFs", grid_size=False)
+    p = add("o2i", cmd_o2i, "outdoor-to-indoor penetration CDFs")
     p.add_argument("manifest", help="indoor session manifest JSON")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = add("models", cmd_models, "dump the model catalog", config=False, grid_size=False)
+    p = add("models", cmd_models, "dump the model catalog", config=False)
     p.add_argument("--out", default=None, help="write JSON here instead of printing")
 
     return parser

@@ -46,8 +46,9 @@ import numpy as np
 
 CHUNK_ROWS = 512
 
-# the least positive float: [POSITIVE, inf] holds exactly the ints and floats > 0
-POSITIVE = math.ulp(0.0)
+# the least positive and the largest float: [POSITIVE, inf] holds exactly the
+# ints and floats > 0, [POSITIVE, FINITE] the finite ones
+POSITIVE, FINITE = math.ulp(0.0), math.nextafter(math.inf, 0.0)
 
 
 class Rule(NamedTuple):
@@ -76,6 +77,11 @@ class Rule(NamedTuple):
     def refusal(self, value) -> str:
         value = value.item() if isinstance(value, np.generic) else value
         return self.message.format(value=value, allowed=self.allowed)
+
+
+def within(name: str, high: float) -> Rule:
+    """The rule of a value in (0, high]."""
+    return Rule(f"{name} {{value}} outside (0, {high:g}]", POSITIVE, high)
 
 
 def check_record(record, rules: dict[str, Rule]) -> None:

@@ -27,10 +27,14 @@ WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 _MAX_OFFSET_DEG = 1.0
 
 
+# the bound of every height and altitude above ground (README, "Input rules")
+MAX_HEIGHT_M = 1e3
 # what a GeodeticPoint checks, and every reader of a position column
 POSITION_RULES = {
     "latitude": Rule("latitude {value!r} outside [-90, 90]", -90.0, 90.0),
     "longitude": Rule("longitude {value!r} outside [-180, 180]", -180.0, 180.0),
+    "altitude_agl": Rule(f"altitude_agl {{value!r}} outside [-{MAX_HEIGHT_M:g}, {MAX_HEIGHT_M:g}]",
+                         -MAX_HEIGHT_M, MAX_HEIGHT_M),
 }
 
 

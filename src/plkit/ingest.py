@@ -18,8 +18,9 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .columns import (POSITIVE, Chunk, Rule, check_record, int_array, json_value, number,
-                      read_csv, read_json, string, whole, write_csv, write_json)
-from .geo import POSITION_RULES, GeodeticPoint
+                      read_csv, read_json, string, whole, within, write_csv, write_json)
+from .geo import MAX_HEIGHT_M, POSITION_RULES, GeodeticPoint
+from .models import MAX_FREQ_GHZ
 
 SOURCES = ("TESTBED", "SCANNER")
 
@@ -254,10 +255,10 @@ def parse_scanner_log(
 
 # what a SiteConfig checks, of its own values or of a site-config file's (bounds: README)
 SITE_RULES = {
-    "tx_power_dbm": Rule("tx_power_dbm {value} outside (0, 90]", POSITIVE, 90.0),
-    "antenna_height_agl_m": Rule("antenna_height_agl_m {value} outside (0, 1000]", POSITIVE, 1e3),
-    "ue_height_m": Rule("ue_height_m {value} outside (0, 1000]", POSITIVE, 1e3),
-    "carrier_freq_ghz": Rule("carrier_freq_ghz must be > 0", POSITIVE),
+    "tx_power_dbm": within("tx_power_dbm", 90.0),
+    "antenna_height_agl_m": within("antenna_height_agl_m", MAX_HEIGHT_M),
+    "ue_height_m": within("ue_height_m", MAX_HEIGHT_M),
+    "carrier_freq_ghz": within("carrier_freq_ghz", MAX_FREQ_GHZ),
     "feeder_loss_db": Rule("feeder_loss_db must be >= 0", 0.0),
 }
 
@@ -350,7 +351,7 @@ def _read_sample_rows(chunk: Chunk) -> list:
         chunk.cells[j::len(SAMPLE_FIELDS)] for j in range(len(SAMPLE_FIELDS)))
     ts = chunk.parse(int, ts)
     lat, lon, alt = (chunk.parse(float, c) for c in (lat, lon, alt))
-    chunk.check_rules(POSITION_RULES, {"latitude": lat, "longitude": lon})
+    chunk.check_rules(POSITION_RULES, {"latitude": lat, "longitude": lon, "altitude_agl": alt})
     rx = chunk.parse(float, rx)
     beam, cell = _optional_ints(chunk, beam), _optional_ints(chunk, cell)
     # the source on its cells: a numpy string column drops trailing NULs

@@ -23,11 +23,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .columns import FINITE, POSITIVE, Rule, check_record, within
+from .geo import MAX_HEIGHT_M
+
 C_LIGHT = 299792458.0
 # breakpoint-distance formulas in WINNER II and TR 38.901 define c = 3.0e8
 C_BREAKPOINT = 3.0e8
 
 _CITY_SIZES = ("small", "medium", "large")
+
+# the carrier bound a site config shares (README, "Input rules")
+MAX_FREQ_GHZ = 3e3
+# what a LinkGeometry checks of its scalar parameters, in this order
+LINK_RULES = {
+    "h_bs_m": within("h_bs_m", MAX_HEIGHT_M),
+    "h_ut_m": within("h_ut_m", MAX_HEIGHT_M),
+    "avg_building_height_m": within("avg_building_height_m", MAX_HEIGHT_M),
+    "avg_street_width_m": Rule("avg_street_width_m must be finite and > 0, got {value}",
+                               POSITIVE, FINITE),
+    "f_ghz": within("f_ghz", MAX_FREQ_GHZ),
+}
 
 
 @dataclass(frozen=True)
@@ -64,10 +79,8 @@ class LinkGeometry:
             # the checks below need only the smallest values (NaN propagates)
             d2d, d3d, gap = _smallest(d2d), _smallest(d3d), _smallest(d3d - d2d)
         # the scalar link parameters first: a NaN height makes NaN distances
-        check_positive(h_bs_m=self.h_bs_m, h_ut_m=self.h_ut_m,
-                       avg_building_height_m=self.avg_building_height_m,
-                       avg_street_width_m=self.avg_street_width_m, f_ghz=self.f_ghz,
-                       d2d_m=d2d, d3d_m=d3d)
+        check_record(self, LINK_RULES)
+        check_positive(d2d_m=d2d, d3d_m=d3d)
         if gap < -1e-9:
             raise ValueError("d3d_m cannot be smaller than d2d_m")
         if self.city_size not in _CITY_SIZES:
@@ -93,6 +106,14 @@ def check_positive(**values) -> None:
             raise ValueError(f"{label} must be > 0, got {v}")
 
 
+def check_link(**values) -> None:
+    """Refuse the first link parameter that breaks its rule in LINK_RULES."""
+    for name, value in values.items():
+        rule = LINK_RULES[name]
+        if not rule.low <= value <= rule.high:
+            raise ValueError(rule.refusal(value))
+
+
 def _smallest(v) -> float:
     """Smallest element of a scalar or array: inf if empty, NaN if any is."""
     return v if isinstance(v, (int, float)) else float(np.min(v, initial=np.inf))
@@ -105,7 +126,8 @@ def _where(cond, a, b):
 
 def fspl_db(distance_m, f_ghz: float):
     """Free-space path loss: 20 log10(d_m) + 20 log10(f_GHz) + 32.45."""
-    check_positive(distance_m=_smallest(distance_m), f_ghz=f_ghz)
+    check_link(f_ghz=f_ghz)
+    check_positive(distance_m=_smallest(distance_m))
     return 20.0 * np.log10(distance_m) + 20.0 * np.log10(f_ghz) + 32.45
 
 
@@ -288,11 +310,13 @@ def tr38901(g: LinkGeometry, scenario: str, condition: str):
         if condition == "LOS":
             return los
         h, w = g.avg_building_height_m, g.avg_street_width_m
+        # a float's ** raises past 1.3e154; from 1e150 on, NLOS lies far below LOS anyway
+        ratio = min(h / g.h_bs_m, 1e150)
         nlos = (
             161.04
             - 7.1 * np.log10(w)
             + 7.5 * np.log10(h)
-            - (24.37 - 3.7 * (h / g.h_bs_m) ** 2) * np.log10(g.h_bs_m)
+            - (24.37 - 3.7 * ratio**2) * np.log10(g.h_bs_m)
             + (43.42 - 3.1 * np.log10(g.h_bs_m)) * (np.log10(g.d3d_m) - 3.0)
             + 20.0 * lf
             - (3.2 * np.log10(11.75 * g.h_ut_m) ** 2 - 4.97)

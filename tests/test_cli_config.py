@@ -92,10 +92,6 @@ BASE = {
 CASES = [
     ("synth", "grid_size", "--grid-size", (10, "10"), "7", ["--grid-size", "5"]),
     ("bin", "grid_size", "--grid-size", (10, "10"), "7", ["--grid-size", "5"]),
-    # the table readers show the size only by refusing a bad one
-    ("fit", "grid_size", "--grid-size", (-1, "-1"), "7", ["--grid-size", "5"]),
-    ("compare", "grid_size", "--grid-size", (-1, "-1"), "7", ["--grid-size", "5"]),
-    ("offset", "grid_size", "--grid-size", (-1, "-1"), "7", ["--grid-size", "5"]),
     ("synth", "d0", "--d0", (50, "50"), "200", ["--d0", "100"]),
     ("fit", "d0", "--d0", ("50", "50"), "200", ["--d0", "100"]),
     ("fit", "min_d", "--min-d", (300, "300"), "500", None),

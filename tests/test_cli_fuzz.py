@@ -1,18 +1,24 @@
-"""Mutated golden inputs through the commands that read them.
+"""Mutated golden inputs and numeric flags through the commands that read them.
 
 ``fit``, ``compare`` and ``offset`` get a golden bin table with cells set
 to ``nan``, ``inf``, ``1e308``, text or nothing, rows cut short, repeated
 or cut off the end. ``bin``, ``o2i`` and ``fit`` get a golden site config,
 LOS polygon file, o2i manifest or config file with one value (the top
 level included) set to null, a boolean, text, a list, an object, ``NaN``,
-``Infinity`` or ``1e308``. Each run exits 0 or 2, never with a traceback,
-and every JSON artifact it leaves is strict JSON (no NaN or infinity). As
+``Infinity`` or ``1e308``. ``synth`` (with and without ``--model``),
+``fit`` and ``compare`` get one to three numeric flags set to 0, -1,
+``nan``, ``inf``, ``-inf``, ``1e-300`` or ``1e308``, and ``compare
+--site`` a site config with numbers set to those values. Each run exits 0
+or 2, never with a traceback; no CSV or JSON artifact it leaves holds a
+number that is not finite, and a bin table ``synth`` writes reads back. As
 in the ``plkit`` script, a warning is never raised as an error.
 """
 
 import contextlib
 import copy
+import csv
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -23,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plkit.analysis import read_bins_csv
 from plkit.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -65,19 +72,38 @@ def refuse(constant):
     raise ValueError(f"{constant} in a JSON artifact")
 
 
-def assert_exits_0_or_2(argv, tmp: Path) -> None:
-    """``main(argv)`` exits 0 or 2 with no traceback, and every JSON file
-    under ``tmp`` is strict JSON."""
+def finite_cells(path: Path) -> bool:
+    """Whether every cell of a CSV file that reads as a number is finite."""
+    with path.open(newline="") as fh:
+        for cell in itertools.chain.from_iterable(csv.reader(fh)):
+            with contextlib.suppress(ValueError):
+                if not math.isfinite(float(cell)):
+                    return False
+    return True
+
+
+def assert_exits_0_or_2(argv, tmp: Path) -> int:
+    """``main(argv)`` exits 0 or 2 with no traceback, every JSON file under
+    ``tmp`` is strict JSON and every CSV file holds finite numbers only
+    (the inputs, ``in*``, aside); the exit code."""
     stderr = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(stderr):
         warnings.simplefilter("ignore")
-        code = main([str(a) for a in argv])
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse refuses what a flag's type cannot read
+            code = exc.code
     assert code in (0, 2), stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()
-    for artifact in tmp.rglob("*.json"):
-        if artifact.name != "in.json":
+    for artifact in tmp.rglob("*"):
+        if artifact.name.startswith("in"):
+            continue
+        if artifact.suffix == ".json":
             json.loads(artifact.read_text(), parse_constant=refuse)
+        elif artifact.suffix == ".csv":
+            assert finite_cells(artifact), artifact.name
+    return code
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -155,3 +181,53 @@ def test_mutated_json_inputs_exit_0_or_2(data, name):
         tmp = Path(tmp)
         (tmp / "in.json").write_text(json.dumps(data.draw(mutated_json(doc))))
         assert_exits_0_or_2(argv(tmp / "in.json", tmp), tmp)
+
+
+FLAG_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e-300", "1e308"]
+LINK = ["--freq", "--h-bs", "--h-ut", "--avg-building-height", "--avg-street-width"]
+SYNTH = ["--n", "--seed", "--d-min", "--d-max", "--sigma", "--grid-size", "--lat", "--lon",
+         "--tx-power", "--rx-gain"] + LINK
+# each run of the flag slice: its arguments (a small --n and --curve-points),
+# its numeric flags and its output
+FLAG_RUNS = {
+    "synth": (["synth", "--n", 20], SYNTH + ["--a0", "--gamma", "--d0"], "bins.csv"),
+    "synth --model": (["synth", "--n", 20, "--model", "TR38901_RMA_NLOS"], SYNTH, "bins.csv"),
+    "synth --emit log": (["synth", "--n", 20, "--emit", "log"],
+                         SYNTH + ["--a0", "--gamma", "--d0"], "demo"),
+    "fit": (["fit", GOLDEN / "bin" / "bins.csv"], ["--d0", "--min-d", "--max-d", "--pin-a0"],
+            "fit.json"),
+    "compare": (["compare", GOLDEN / "bins.csv", "--models", "FSPL,SUI_A,ECC33,TR38901_RMA_NLOS",
+                 "--curve-points", 5], LINK + ["--curve-points"], "cmp"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_RUNS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_exit_0_or_2(data, name):
+    argv, flags, out = FLAG_RUNS[name]
+    chosen = data.draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3, unique=True))
+    argv = argv + [f"{flag}={data.draw(st.sampled_from(FLAG_VALUES))}" for flag in chosen]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        code = assert_exits_0_or_2(argv + ["--out", tmp / out], tmp)
+        if code == 0 and out == "bins.csv":
+            read_bins_csv(tmp / out)
+
+
+SITE = golden_json("bin", "site.json")
+SITE_NUMBERS = [key for key, value in SITE.items() if isinstance(value, (int, float))]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compare_site_numbers_exit_0_or_2(data):
+    site = dict(SITE, pattern=str(GOLDEN / "bin" / SITE["pattern"]))
+    for key in data.draw(st.lists(st.sampled_from(SITE_NUMBERS), min_size=1, max_size=3,
+                                  unique=True)):
+        site[key] = float(data.draw(st.sampled_from(FLAG_VALUES)))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.json").write_text(json.dumps(site))
+        assert_exits_0_or_2(FLAG_RUNS["compare"][0] + ["--site", tmp / "in.json",
+                                                       "--out", tmp / "cmp"], tmp)

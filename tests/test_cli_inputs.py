@@ -5,15 +5,17 @@ config file."""
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from plkit.analysis import aggregate_bins, read_bins_csv, write_bins_csv
+from plkit.analysis import BIN_FIELDS, aggregate_bins, read_bins_csv, write_bins_csv
 from plkit.antenna import load_beamset, save_beamset, synthetic_aas_beamset
 from plkit.cli import main
 from plkit.geo import GeodeticPoint, GridIndex, load_polygons
 from plkit.ingest import SampleTable, read_samples_csv
+from plkit.models import LinkGeometry
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -214,16 +216,30 @@ class TestGridSize:
             args = ["synth", "--n", 50, "--out", out]
         assert_exit_2(args + [f"--grid-size={value}"], capsys, out, "grid_size")
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["fit", "compare", "offset"])
-    def test_table_readers_refuse_the_grid_size(self, tmp_path, capsys, command, value):
+    def test_table_readers_take_no_grid_size(self, tmp_path, capsys, command):
+        """Only synth and bin make cells; the readers refuse the flag and
+        ignore the config key, as any key a command has no option for."""
         bins_path = tmp_path / "bins.csv"
         synth_bins(bins_path)
         out = tmp_path / "out"
         args = {"fit": ["fit", bins_path], "compare": ["compare", bins_path, "--models", "FSPL"],
-                "offset": ["offset", bins_path, bins_path]}[command]
-        assert_exit_2(args + [f"--grid-size={value}", "--out", out], capsys, out,
-                      "grid_size must be finite and > 0")
+                "offset": ["offset", bins_path, bins_path]}[command] + ["--out", out]
+        with pytest.raises(SystemExit) as exit_:
+            run(args + ["--grid-size", "5"])
+        assert exit_.value.code == 2 and not out.exists()
+        assert "unrecognized arguments: --grid-size" in capsys.readouterr().err
+        config = tmp_path / "c.json"
+        config.write_text('{"grid_size": 7}')
+        assert run(args + ["--config", config]) == 0
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, 0.0])
+    def test_read_bins_csv_checks_the_grid_size_before_the_file(self, tmp_path, size):
+        header_only = tmp_path / "bins.csv"
+        header_only.write_text(",".join(BIN_FIELDS) + "\n")
+        for path in (header_only, tmp_path / "missing.csv"):
+            with pytest.raises(ValueError, match=r"^grid_size must be finite and > 0"):
+                read_bins_csv(path, grid_size=size)
 
     def test_config_grid_size_follows_the_same_rule(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -310,6 +326,15 @@ class TestJsonInputs:
         out = tmp_path / "bins.csv"
         assert_exit_2(golden_bin_args(tmp_path, out, site=site), capsys, out,
                       f"{field} {height!r} outside (0, 1000]")
+
+    @pytest.mark.parametrize("altitude", [1000.5, -1000.5, 1e308])
+    def test_site_altitude_beyond_1000_m_exits_2_naming_it(self, tmp_path, capsys, altitude):
+        """An altitude of 1e308 made bin write an infinite d3d_m."""
+        site = json.loads((GOLDEN / "bin" / "site.json").read_text())
+        site["altitude_agl_m"] = altitude
+        out = tmp_path / "bins.csv"
+        assert_exit_2(golden_bin_args(tmp_path, out, site=site), capsys, out,
+                      f"altitude_agl {altitude!r} outside [-1000, 1000]")
 
     @pytest.mark.parametrize("site, message", [
         ([1, 2], "site config must be a JSON object"),
@@ -535,7 +560,7 @@ class TestNanLinkParameters:
     def test_a_nan_height(self, tmp_path, capsys, command, flag):
         out = tmp_path / "out"
         assert_exit_2(command + [flag, "nan", "--out", out], capsys, out,
-                      f"error: h_{flag[-2:]}_m must be > 0, got nan")
+                      f"error: h_{flag[-2:]}_m nan outside (0, 1000]")
 
     @pytest.mark.parametrize("flag, message", [
         ("--d0", "d0_m must be > 0, got nan"),
@@ -546,6 +571,93 @@ class TestNanLinkParameters:
         out = tmp_path / "fit.json"
         assert_exit_2(["fit", GOLDEN / "bin" / "bins.csv", flag, "nan", "--out", out], capsys,
                       out, f"error: {message}")
+
+
+COMPARE = ["compare", GOLDEN / "bins.csv", "--models", "FSPL,SUI_A,TR38901_RMA_NLOS"]
+SYNTH_RMA = ["synth", "--n", 20, "--model", "TR38901_RMA_NLOS"]
+
+
+class TestLinkParameterBounds:
+    """Each link parameter has one rule, which the flags, a site config and
+    LinkGeometry share: finite, heights in (0, 1000] m, the carrier in
+    (0, 3000] GHz. A value outside it is refused by name before a model
+    overflows on it."""
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        (COMPARE, "--freq", "inf", "f_ghz inf outside (0, 3000]"),
+        (COMPARE, "--freq", "1e308", "f_ghz 1e+308 outside (0, 3000]"),
+        (COMPARE, "--h-bs", "1e308", "h_bs_m 1e+308 outside (0, 1000]"),
+        (COMPARE, "--h-ut", "1e308", "h_ut_m 1e+308 outside (0, 1000]"),
+        (COMPARE, "--avg-building-height", "1e308",
+         "avg_building_height_m 1e+308 outside (0, 1000]"),
+        (COMPARE, "--h-bs", "inf", "h_bs_m inf outside (0, 1000]"),
+        (COMPARE, "--avg-building-height", "inf", "avg_building_height_m inf outside (0, 1000]"),
+        (COMPARE, "--avg-street-width", "inf", "avg_street_width_m must be finite and > 0, got inf"),
+        (SYNTH_RMA, "--h-bs", "1e308", "h_bs_m 1e+308 outside (0, 1000]"),
+        (SYNTH_RMA, "--h-ut", "1e308", "h_ut_m 1e+308 outside (0, 1000]"),
+        (SYNTH_RMA, "--avg-building-height", "1e308",
+         "avg_building_height_m 1e+308 outside (0, 1000]"),
+        (SYNTH_RMA, "--h-bs", "inf", "h_bs_m inf outside (0, 1000]"),
+        (["synth", "--n", 20], "--freq", "inf", "f_ghz inf outside (0, 3000]"),
+    ], ids=["compare-freq-inf", "compare-freq-1e308", "compare-h-bs-1e308",
+            "compare-h-ut-1e308", "compare-building-1e308", "compare-h-bs-inf",
+            "compare-building-inf", "compare-street-inf", "synth-rma-h-bs-1e308",
+            "synth-rma-h-ut-1e308", "synth-rma-building-1e308", "synth-rma-h-bs-inf",
+            "synth-freq-inf"])
+    def test_a_flag_outside_its_rule(self, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "out"
+        assert_exit_2(command + [flag, value, "--out", out], capsys, out, f"error: {message}")
+
+    def test_a_site_carrier_outside_its_rule(self, tmp_path, capsys):
+        site = json.loads((GOLDEN / "bin" / "site.json").read_text())
+        site["carrier_freq_ghz"] = 1e308
+        (tmp_path / "site.json").write_text(json.dumps(site))
+        out = tmp_path / "cmp"
+        assert_exit_2(COMPARE + ["--site", tmp_path / "site.json", "--out", out], capsys, out,
+                      "carrier_freq_ghz 1e+308 outside (0, 3000]")
+
+    def test_a_tiny_mast_height_does_not_overflow_rural_macro(self, tmp_path):
+        out = tmp_path / "cmp"
+        assert run(["compare", GOLDEN / "bins.csv", "--models", "TR38901_RMA_NLOS",
+                    "--h-bs", "1e-300", "--out", out]) == 0
+        assert json.loads((out / "errors.json").read_text())[0]["model"] == "TR38901_RMA_NLOS"
+
+    @pytest.mark.parametrize("bound", [1000.0, 3000.0])
+    def test_the_site_config_and_the_link_share_each_bound(self, suburban_site, bound):
+        fields = {1000.0: [("antenna_height_agl_m", "h_bs_m"), ("ue_height_m", "h_ut_m")],
+                  3000.0: [("carrier_freq_ghz", "f_ghz")]}[bound]
+        link = {"f_ghz": 3.5, "h_bs_m": 25.0, "h_ut_m": 1.5}
+        for site_field, key in fields:
+            for value in (bound, math.nextafter(bound, math.inf)):
+                site_ok = accepted(lambda: replace(suburban_site, **{site_field: value}))
+                link_ok = accepted(lambda: LinkGeometry.at(100.0, **{**link, key: value}))
+                assert site_ok == link_ok == (value == bound)
+
+
+class TestPathLossRule:
+    """Synthesis and the bin reader refuse the same path losses: the rule
+    is finite and > 0."""
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--a0"])
+    def test_synth_refuses_an_infinite_path_loss(self, tmp_path, capsys, flag):
+        out = tmp_path / "bins.csv"
+        assert_exit_2(["synth", "--n", 5, flag, "inf", "--out", out], capsys, out,
+                      "error: path loss must be finite and > 0, got inf")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_fit_refuses_a_pin_a0_that_is_not_finite(tmp_path, capsys, value):
+    out = tmp_path / "fit.json"
+    assert_exit_2(["fit", GOLDEN / "bin" / "bins.csv", f"--pin-a0={value}", "--out", out],
+                  capsys, out, f"error: pin_a0_db must be finite, got {float(value)}")
+
+
+def accepted(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return False
+    return True
 
 
 class TestSynthInputs:
@@ -562,6 +674,16 @@ class TestSynthInputs:
         assert run(["synth", "--emit", "log", "--n", 50, "--out", out] + flags) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("model", [[], ["--model", "FSPL"]], ids=["law", "model"])
+    def test_a_2d_distance_lost_to_rounding_exits_2(self, tmp_path, capsys, model):
+        """The reader refuses d2d_m 0, so synth writes no such bin."""
+        out = tmp_path / "bins.csv"
+        # just above the 23.5 m height gap (log-distance law), or far below it
+        distances = ["1e-300", "2000"] if model else ["23.500000000000004", "23.50000000000001"]
+        assert_exit_2(["synth", "--n", 5, "--d-min", distances[0], "--d-max", distances[1],
+                       "--out", out] + model, capsys, out,
+                      "minimum distance too small: a bin's d2d_m rounds to 0")
 
     def test_a_model_run_ignores_d0(self, tmp_path):
         """--d0 sets only the log-distance law's reference distance."""

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import plkit.columns
 from plkit.analysis import BIN_FIELDS, GridBin, read_bins_csv
 from plkit.antenna import PATTERN_FIELDS, load_pattern_csv
-from plkit.geo import GeodeticPoint, GridIndex
+from plkit.geo import GeodeticPoint, GridIndex, check_grid_size
 from plkit.ingest import (
     SAMPLE_FIELDS,
     SCANNER_HEADER,
@@ -44,6 +44,7 @@ SETTINGS = settings()
 # -- oracles: the per-row readers as they were ----------------------------------
 
 def oracle_read_bins_csv(path, grid_size=5.0):
+    check_grid_size(grid_size)  # once, before the file is opened
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -55,6 +55,7 @@ READERS = {
 COLUMNS = {
     "latitude": [("samples", "lat"), ("bins", "lat"), ("testbed", "lat"), ("scanner", "lat")],
     "longitude": [("samples", "lon"), ("bins", "lon"), ("testbed", "lon"), ("scanner", "lon")],
+    "altitude_agl": [("samples", "alt_agl_m")],
     "timestamp_ms": [("samples", "timestamp_ms"), ("testbed", "timestamp_ms"),
                      ("scanner", "timestamp_ms")],
     "received_power_dbm": [("samples", "rx_power_dbm"), ("testbed", "mrsrp_00"),
