@@ -507,14 +507,16 @@ def prediction_errors(bins: Bins, model_id: str, template: models.LinkGeometry) 
     d2d, d3d, pl = table.d2d_m, table.d3d_m, table.pl_db
     if not pl.size:
         raise ValueError("no bins to compare against")
-    info = models.get_model(model_id)
-    if info.evaluate is None:
-        raise ValueError(f"{info.model_id} has free parameters; fit it instead")
+    info = models.evaluable_model(model_id)
     errors = info.evaluate(template.with_distances(d2d, d3d)) - pl
     n = errors.size
     mu = float(errors.mean())
     sigma = float(np.std(errors, ddof=1)) if n > 1 else 0.0
     rmse = float(np.sqrt(np.mean(errors**2)))
+    if not (math.isfinite(mu) and math.isfinite(sigma) and math.isfinite(rmse)):
+        link = ", ".join(f"{key} {getattr(template, key):g}" for key in models.LINK_RULES)
+        raise ValueError(f"{info.model_id}: error statistics are not finite (mu_e {mu:g}, "
+                         f"sigma_e {sigma:g}, rmse {rmse:g}) at {link}")
     return ErrorStats(mu_e=mu, sigma_e=sigma, rmse=rmse, n=n)
 
 
@@ -570,7 +572,7 @@ def shadow_fading(bins: Bins, fit: FitResult, use_2d: bool = False) -> ShadowFad
     and a 1 dB histogram (pass the same bins the fit was made from)."""
     table = _table(bins)
     d, pl = table.d2d_m if use_2d else table.d3d_m, table.pl_db
-    residuals = pl - (fit.a0_db + 10.0 * fit.gamma * np.log10(d / fit.d0_m))
+    residuals = pl - models.log_distance(d, fit.a0_db, fit.gamma, fit.d0_m)
     mean = float(residuals.mean())
     sigma = float(np.std(residuals, ddof=1)) if residuals.size > 1 else 0.0
     lo = math.floor(residuals.min())
@@ -682,7 +684,7 @@ def synthesize_samples(
     d3d, shadow, bearings = _draws(distance_range_m, n, sigma_db, seed)
     if distance_range_m[0] <= abs(h_bs_m - h_ut_m):
         raise ValueError("minimum distance must exceed the antenna height difference")
-    pl = a0_db + 10.0 * gamma * np.log10(d3d / d0_m) + shadow
+    pl = models.log_distance(d3d, a0_db, gamma, d0_m) + shadow
     return _bins_from_arrays(d3d, pl, bearings, h_bs_m, h_ut_m, origin, band, grid_size, los)
 
 
@@ -699,9 +701,7 @@ def synthesize_from_model(
     los: str = "UNKNOWN",
 ) -> BinTable:
     """Synthetic bins whose mean path loss follows a catalog model."""
-    info = models.get_model(model_id)
-    if info.evaluate is None:
-        raise ValueError(f"{info.model_id} has free parameters; use synthesize_samples")
+    info = models.evaluable_model(model_id)
     d2d, shadow, bearings = _draws(distance_range_m, n, sigma_db, seed)
     d3d = np.hypot(d2d, template.h_bs_m - template.h_ut_m)
     pl = info.evaluate(template.with_distances(d2d, d3d)) + shadow
@@ -713,12 +713,29 @@ def synthesize_from_model(
 BIN_FIELDS = ["ix", "iy", "lat", "lon", "d2d_m", "d3d_m", "pl_db", "count", "los", "band"]
 
 
+BIN_ROW_RULE = ("need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
+                "got pl_db={}, d2d_m={}, d3d_m={}")
+
+
+def _bad_bin_rows(pl: np.ndarray, d2d: np.ndarray, d3d: np.ndarray) -> np.ndarray:
+    """Where a bin-table row breaks ``BIN_ROW_RULE``, which the writer and
+    the reader hold each row to."""
+    return ~(np.isfinite(pl) & (0.0 < d2d) & (d2d <= d3d) & (d3d < math.inf))
+
+
 def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
     """Write the bin table (full float precision so re-parsing is lossless);
-    a bin without a position has empty lat/lon cells."""
+    a bin without a position has empty lat/lon cells. A bin that breaks the
+    reader's path-loss and distance rule is refused before the file opens."""
     bins = _table(bins)
     if np.isnan(bins.pl_db).any():
         raise ValueError("bin table has no path loss yet; run extract_path_loss first")
+    columns = (bins.pl_db, bins.d2d_m, bins.d3d_m)
+    bad = np.flatnonzero(_bad_bin_rows(*columns))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"bin ({bins.ix[k]}, {bins.iy[k]}): "
+                         + BIN_ROW_RULE.format(*(c[k] for c in columns)))
     lat, lon = (np.where(np.isnan(c), None, c) if np.isnan(c).any() else c
                 for c in (bins.lat, bins.lon))
     bins = replace(bins, lat=lat, lon=lon)
@@ -736,10 +753,8 @@ def _read_bin_rows(chunk: Chunk) -> list:
     lat, lon = (chunk.parse(float, [c[k] for k in pick], has_pos) for c in (lat_s, lon_s))
     chunk.check_rules(POSITION_RULES, {"latitude": lat, "longitude": lon}, has_pos)
     d2d, d3d, pl = (chunk.parse(float, c) for c in (d2d_s, d3d_s, pl_s))
-    chunk.check(
-        ~(np.isfinite(pl) & (0.0 < d2d) & (d2d <= d3d) & (d3d < math.inf)),
-        lambda k: ("need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
-                   f"got pl_db={pl_s[k]}, d2d_m={d2d_s[k]}, d3d_m={d3d_s[k]}"))
+    chunk.check(_bad_bin_rows(pl, d2d, d3d),
+                lambda k: BIN_ROW_RULE.format(pl_s[k], d2d_s[k], d3d_s[k]))
     ix, iy = (chunk.parse(int, c) for c in (ix_s, iy_s))
     count = chunk.parse(int, count_s)
     # the labels on their cells: a numpy string column drops trailing NULs

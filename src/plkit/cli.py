@@ -98,12 +98,14 @@ def cmd_synth(args) -> int:
     origin = GeodeticPoint(args.lat, args.lon)
     link = _link(args)
     if args.model:
+        # the draws place the links: the template carries only the link parameters
+        template = models.LinkGeometry(np.empty(0), np.empty(0), **link)
         bins = analysis.synthesize_from_model(
-            args.model, models.LinkGeometry.at(args.d_min, **link), args.sigma, args.n,
-            (args.d_min, args.d_max), args.seed, origin=origin, band=args.band,
-            grid_size=args.grid_size, los=args.los.upper(),
+            args.model, template, args.sigma, args.n, (args.d_min, args.d_max), args.seed,
+            origin=origin, band=args.band, grid_size=args.grid_size, los=args.los.upper(),
         )
     else:
+        models.check_positive(**{"--d0": args.d0})
         a0 = args.a0 if args.a0 is not None else models.fspl_db(args.d0, link["f_ghz"])
         bins = analysis.synthesize_samples(
             a0, args.gamma, args.sigma, args.d0, args.n, (args.d_min, args.d_max),
@@ -238,32 +240,31 @@ def cmd_compare(args) -> int:
     if not args.out:
         raise ValueError("an output directory is required (--out or output_dir in the config)")
     site = ingest.load_site_config(args.site) if args.site else None
-    template = models.LinkGeometry.at(bins.d2d_m[0].item(), **_link(args, site))
+    links = models.LinkGeometry(bins.d2d_m, bins.d3d_m, **_link(args, site))
     if any(m.startswith("TR38901_RMA") for m in model_ids) and (
         args.avg_building_height_m is None or args.avg_street_width_m is None
     ):
         print(
             "note: rural-macro clutter defaults in use "
-            f"(building height {template.avg_building_height_m:g} m, "
-            f"street width {template.avg_street_width_m:g} m)",
+            f"(building height {links.avg_building_height_m:g} m, "
+            f"street width {links.avg_street_width_m:g} m)",
             file=sys.stderr,
         )
 
-    links = template.with_distances(bins.d2d_m, bins.d3d_m)
     mismatched = int(np.count_nonzero(
-        np.abs(bins.d3d_m - np.hypot(bins.d2d_m, template.h_bs_m - template.h_ut_m)) > 0.01))
+        np.abs(bins.d3d_m - np.hypot(bins.d2d_m, links.h_bs_m - links.h_ut_m)) > 0.01))
     if mismatched:
         print(
             f"warning: {mismatched} of {len(bins)} bins have d3d_m != hypot(d2d_m, h_bs - h_ut) "
-            f"by more than 0.01 m with h_bs {template.h_bs_m:g} m, h_ut {template.h_ut_m:g} m; "
+            f"by more than 0.01 m with h_bs {links.h_bs_m:g} m, h_ut {links.h_ut_m:g} m; "
             "the table may come from other antenna heights",
             file=sys.stderr,
         )
     stats = []
     for mid in model_ids:
-        es = analysis.prediction_errors(bins, mid, template)
+        es = analysis.prediction_errors(bins, mid, links)
         n_flagged = int(np.count_nonzero(models.out_of_validity(mid, links)))
-        entry = {"model": models.get_model(mid).model_id, "out_of_validity_bins": n_flagged}
+        entry = {"model": mid, "out_of_validity_bins": n_flagged}
         entry.update(es.to_json_dict())
         stats.append(entry)
     stats.sort(key=lambda e: e["rmse"])
@@ -276,15 +277,11 @@ def cmd_compare(args) -> int:
     sweep = np.geomspace(links.d2d_m.min(), links.d2d_m.max(), args.curve_points)
     sweep[-1] = links.d2d_m.max()
     curves_path = out_dir / "model_curves.csv"
-    names, losses = [], []
-    for mid in model_ids:
-        series = models.predict_series(mid, template, sweep)
-        names.append(series.model_id)
-        losses.append(np.array(series.path_loss_db))
+    losses = [models.predict_series(mid, links, sweep).path_loss_db for mid in model_ids]
     # an object column of names, not a fixed-width string array 4x its size
     write_csv(curves_path, ["model", "d2d_m", "pl_db"],
-              [np.repeat(np.array(names, dtype=object), sweep.size), np.tile(sweep, len(names)),
-               np.concatenate(losses)])
+              [np.repeat(np.array(model_ids, dtype=object), sweep.size),
+               np.tile(sweep, len(model_ids)), np.concatenate(losses)])
 
     for entry in stats:
         print(f"{entry['model']:<18} mu_e={entry['mu_e']:+7.2f} "

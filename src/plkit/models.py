@@ -375,16 +375,6 @@ def hata_family(g: LinkGeometry, variant: str, environment: str = "urban"):
     return pl + 3.0 if cost231 else pl
 
 
-def hata_okumura(g: LinkGeometry, environment: str = "urban"):
-    """Hata-Okumura closed form; environment urban, suburban, or open."""
-    return hata_family(g, "HATA_OKUMURA", environment)
-
-
-def cost231_hata(g: LinkGeometry, environment: str = "urban"):
-    """COST 231 Hata extension; adds 3 dB in metropolitan (urban) areas."""
-    return hata_family(g, "COST231_HATA", environment)
-
-
 # ---------------------------------------------------------------------------
 # Two-ray ground reflection
 
@@ -472,8 +462,10 @@ MODEL_CATALOG: dict[str, ModelInfo] = {
                 ("UMA", "NLOS", 5000.0, 6.0, _UMA_HEIGHTS),
             )
         ),
-        ModelInfo("HATA_OKUMURA", hata_okumura, (0.15, 1.5), (1000.0, 20000.0)),
-        ModelInfo("COST231_HATA", cost231_hata, (1.5, 2.0), (1000.0, 20000.0)),
+        *(
+            ModelInfo(v, partial(hata_family, variant=v), f_range, (1000.0, 20000.0))
+            for v, f_range in (("HATA_OKUMURA", (0.15, 1.5)), ("COST231_HATA", (1.5, 2.0)))
+        ),
         ModelInfo("TWO_RAY", two_ray, _ANY, _ANY),
     ]
 }
@@ -487,9 +479,28 @@ def get_model(model_id: str) -> ModelInfo:
         raise ValueError(f"unknown model id {model_id!r}; known: {known}") from None
 
 
+def evaluable_model(model_id: str) -> ModelInfo:
+    """The catalog entry of ``model_id``, refused if the model has free
+    parameters (they come from a fit, not from the catalog)."""
+    info = get_model(model_id)
+    if info.evaluate is None:
+        raise ValueError(f"{info.model_id} has free parameters ({', '.join(info.parameters)})")
+    return info
+
+
 def comparable_models() -> list[str]:
-    """Ids of all models evaluable without free parameters."""
+    """Ids of all models that ``evaluable_model`` accepts."""
     return [mid for mid, info in MODEL_CATALOG.items() if info.evaluate is not None]
+
+
+# each validity range: its ModelInfo field, the LinkGeometry value it bounds,
+# and that value's name and unit
+VALIDITY_RANGES = (
+    ("freq_range_ghz", "f_ghz", "frequency", "GHz"),
+    ("dist_range_m", "d2d_m", "distance", "m"),
+    ("h_bs_range_m", "h_bs_m", "BS height", "m"),
+    ("h_ut_range_m", "h_ut_m", "UE height", "m"),
+)
 
 
 def _validity_rules(info: ModelInfo, g: LinkGeometry) -> list[tuple[np.ndarray, str, np.ndarray]]:
@@ -497,13 +508,9 @@ def _validity_rules(info: ModelInfo, g: LinkGeometry) -> list[tuple[np.ndarray, 
     each array shaped like g.d2d_m; the format takes the value at a link."""
     shape = np.shape(g.d2d_m)
     rules = []
-    for what, v, unit, (lo, hi) in (
-        ("frequency", g.f_ghz, "GHz", info.freq_range_ghz),
-        ("distance", g.d2d_m, "m", info.dist_range_m),
-        ("BS height", g.h_bs_m, "m", info.h_bs_range_m),
-        ("UE height", g.h_ut_m, "m", info.h_ut_range_m),
-    ):
-        v = np.asarray(v)
+    for field, attr, what, unit in VALIDITY_RANGES:
+        lo, hi = getattr(info, field)
+        v = np.asarray(getattr(g, attr))
         message = f"{info.model_id}: {what} {{:g}} {unit} outside validity [{lo:g}, {hi:g}] {unit}"
         rules.append((~((lo <= v) & (v <= hi)), message, v))
     # the two-ray rule is the one whose bound depends on the geometry
@@ -534,11 +541,11 @@ def validity_warnings(model_id: str, g: LinkGeometry) -> list[str]:
 
 @dataclass
 class PredictionSeries:
-    """Model curve sampled over a distance sweep."""
+    """Model curve sampled over a distance sweep, as float arrays."""
 
     model_id: str
-    distances_m: list[float]
-    path_loss_db: list[float]
+    distances_m: np.ndarray
+    path_loss_db: np.ndarray
 
 
 def predict_series(model_id: str, template: LinkGeometry, distances_m) -> PredictionSeries:
@@ -546,30 +553,22 @@ def predict_series(model_id: str, template: LinkGeometry, distances_m) -> Predic
 
     The slant distance is recomputed per point from the template heights.
     """
-    info = get_model(model_id)
-    if info.evaluate is None:
-        raise ValueError(f"{info.model_id} needs fitted parameters; evaluate it directly")
+    info = evaluable_model(model_id)
     d = np.asarray(distances_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distances must be positive")
     if np.any(np.diff(d) < 0):
         raise ValueError("distances must be sorted ascending")
-    g = template.with_distance(d)
-    return PredictionSeries(info.model_id, d.tolist(), info.evaluate(g).tolist())
+    return PredictionSeries(info.model_id, d, info.evaluate(template.with_distance(d)))
 
 
 def catalog_json() -> list[dict]:
-    """Catalog metadata in a JSON-friendly shape (for the CLI dump)."""
-
-    def _num(v):
-        return None if math.isinf(v) else v
-
+    """Catalog metadata in a JSON-friendly shape (for the CLI dump): every
+    validity range, an open end as None."""
     return [
         {
             "id": info.model_id,
             "condition": info.condition,
-            "freq_range_ghz": [_num(info.freq_range_ghz[0]), _num(info.freq_range_ghz[1])],
-            "dist_range_m": [_num(info.dist_range_m[0]), _num(info.dist_range_m[1])],
+            **{field: [None if math.isinf(v) else v for v in getattr(info, field)]
+               for field, *_ in VALIDITY_RANGES},
             "published_sigma_db": info.published_sigma_db,
             "parameters": list(info.parameters),
         }

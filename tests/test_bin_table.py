@@ -27,7 +27,7 @@ from plkit.analysis import (
 )
 from plkit.antenna import isotropic, load_pattern_csv, save_pattern_csv
 from plkit.cli import main
-from plkit.geo import GeodeticPoint, load_polygons, unproject
+from plkit.geo import GeodeticPoint, GridIndex, load_polygons, unproject
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -73,6 +73,26 @@ class TestReadTable:
         path.write_text(",".join(analysis.BIN_FIELDS) + "\n\n")
         table = read_bins_csv(path, grid_size=2.5)
         assert len(table) == 0 and list(table) == [] and table.grid_size == 2.5
+
+
+class TestWriteOnlyWhatReadsBack:
+    """``write_bins_csv`` holds each bin to the reader's path-loss and
+    distance rule and refuses before the file opens."""
+
+    @pytest.mark.parametrize("pl, d3d, d2d", [
+        (100.0, -1.0, -2.0), (100.0, 50.0, 60.0), (100.0, math.inf, 50.0),
+        (100.0, 50.0, 0.0),
+    ])
+    def test_a_bin_the_reader_refuses_is_not_written(self, tmp_path, pl, d3d, d2d):
+        good = analysis.GridBin(GridIndex(0, 0), 100.0, 60.0, 50.0, 1)
+        bad = analysis.GridBin(GridIndex(3, -4), pl, d3d, d2d, 1)
+        path = tmp_path / "bins.csv"
+        with pytest.raises(ValueError) as refused:
+            write_bins_csv([good, bad], path)
+        assert str(refused.value) == (
+            "bin (3, -4): need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
+            f"got pl_db={pl}, d2d_m={d2d}, d3d_m={d3d}")
+        assert not path.exists()
 
 
 class TestConsumersOnTables:

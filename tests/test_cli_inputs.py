@@ -10,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from plkit.analysis import BIN_FIELDS, aggregate_bins, read_bins_csv, write_bins_csv
+from plkit.analysis import (BIN_FIELDS, aggregate_bins, prediction_errors, read_bins_csv,
+                            write_bins_csv)
 from plkit.antenna import load_beamset, save_beamset, synthetic_aas_beamset
 from plkit.cli import main
 from plkit.geo import GeodeticPoint, GridIndex, load_polygons
 from plkit.ingest import SampleTable, read_samples_csv
-from plkit.models import LinkGeometry
+from plkit.models import LinkGeometry, predict_series
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -685,6 +686,19 @@ class TestSynthInputs:
                        "--out", out] + model, capsys, out,
                       "minimum distance too small: a bin's d2d_m rounds to 0")
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_a_bad_d0_is_named(self, tmp_path, capsys, value):
+        out = tmp_path / "bins.csv"
+        assert_exit_2(["synth", "--n", 5, f"--d0={value}", "--out", out], capsys, out,
+                      f"error: --d0 must be > 0, got {float(value)}")
+
+    @pytest.mark.parametrize("d_min", ["-inf", "0", "-5", "nan"])
+    @pytest.mark.parametrize("model", [[], ["--model", "FSPL"]], ids=["law", "model"])
+    def test_a_bad_minimum_distance_is_refused_alike(self, tmp_path, capsys, model, d_min):
+        out = tmp_path / "bins.csv"
+        assert_exit_2(["synth", "--n", 5, f"--d-min={d_min}", "--out", out] + model, capsys,
+                      out, f"error: invalid distance range ({float(d_min)}, 2000.0)")
+
     def test_a_model_run_ignores_d0(self, tmp_path):
         """--d0 sets only the log-distance law's reference distance."""
         plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
@@ -738,3 +752,40 @@ class TestBeamSetManifests:
         manifest.write_text(json.dumps(dict(doc, layout=layout)))
         beams = load_beamset(manifest)
         assert (beams.rows, beams.cols) == shape
+
+
+class TestCatalogEntry:
+    """``compare``, ``synth`` and ``predict_series`` reach the catalog
+    through one lookup, with one refusal of a model with free parameters."""
+
+    FREE = "LOG_DISTANCE has free parameters (a0_db, gamma, d0_m)"
+
+    @pytest.mark.parametrize("command", [
+        ["compare", GOLDEN / "bins.csv", "--models", "FSPL,log_distance"],
+        ["synth", "--n", 5, "--model", "log_distance"],
+    ], ids=["compare", "synth"])
+    def test_a_model_with_free_parameters_is_refused_by_one_message(self, tmp_path, capsys,
+                                                                      command):
+        out = tmp_path / "out"
+        assert_exit_2(command + ["--out", out], capsys, out, f"error: {self.FREE}\n")
+        with pytest.raises(ValueError) as series:
+            predict_series("LOG_DISTANCE", LinkGeometry.at(100.0, 3.5, 25.0, 1.5), [100.0])
+        assert str(series.value) == self.FREE
+
+    # SUI's c / h_bs term gives losses near 1e302 dB, whose squares overflow
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_statistics_that_overflow_name_the_model_and_link(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert_exit_2(["compare", GOLDEN / "bins.csv", "--models", "FSPL,SUI_A",
+                       "--h-bs", "1e-300", "--out", out], capsys, out,
+                      "error: SUI_A: error statistics are not finite")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_the_overflow_message_lists_every_link_parameter(self):
+        with pytest.raises(ValueError) as refused:
+            prediction_errors(read_bins_csv(GOLDEN / "bins.csv"), "SUI_A",
+                              LinkGeometry.at(100.0, 3.55, 1e-300, 1.5))
+        message = str(refused.value)
+        assert message.startswith("SUI_A: error statistics are not finite (")
+        assert message.endswith("at h_bs_m 1e-300, h_ut_m 1.5, avg_building_height_m 5, "
+                                "avg_street_width_m 20, f_ghz 3.55")

@@ -8,13 +8,12 @@ from plkit.models import (
     MODEL_CATALOG,
     catalog_json,
     comparable_models,
-    cost231_hata,
     ecc33,
+    evaluable_model,
     fspl,
     fspl_db,
     get_model,
     hata_family,
-    hata_okumura,
     log_distance,
     predict_series,
     rma_breakpoint_m,
@@ -241,7 +240,7 @@ class TestHataFamily:
         a = (1.1 * math.log10(900.0) - 0.7) * 1.5 - (1.56 * math.log10(900.0) - 0.8)
         expected = (69.55 + 26.16 * math.log10(900.0) - 13.82 * math.log10(30.0) - a)
         assert expected == pytest.approx(126.403, abs=5e-4)
-        assert hata_okumura(g, "urban") == pytest.approx(expected, abs=1e-9)
+        assert hata_family(g, "HATA_OKUMURA", "urban") == pytest.approx(expected, abs=1e-9)
 
     def test_distance_slope(self):
         # one decade of distance adds 44.9 - 6.55 log10(h_bs) for both variants
@@ -255,17 +254,20 @@ class TestHataFamily:
     def test_cost231_urban_suburban_constant_gap(self):
         for d in (1000.0, 3000.0, 10000.0):
             g = LinkGeometry.at(d, 1.8, 30.0, 1.5)
-            gap = cost231_hata(g, "urban") - cost231_hata(g, "suburban")
+            urban, suburban = (hata_family(g, "COST231_HATA", env) for env in ("urban", "suburban"))
+            gap = urban - suburban
             assert gap == pytest.approx(3.0)
 
     def test_open_below_urban(self):
         g = LinkGeometry.at(5000.0, 0.9, 30.0, 1.5)
-        assert hata_okumura(g, "open") < hata_okumura(g, "suburban") < hata_okumura(g, "urban")
+        open_, suburban, urban = (hata_family(g, "HATA_OKUMURA", env)
+                                  for env in ("open", "suburban", "urban"))
+        assert open_ < suburban < urban
 
     def test_large_city_correction_used(self):
         g_med = LinkGeometry.at(1000.0, 0.9, 30.0, 1.5, city_size="medium")
         g_big = LinkGeometry.at(1000.0, 0.9, 30.0, 1.5, city_size="large")
-        assert hata_okumura(g_med) != hata_okumura(g_big)
+        assert hata_family(g_med, "HATA_OKUMURA") != hata_family(g_big, "HATA_OKUMURA")
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -311,7 +313,17 @@ class TestPredictSeries:
 
     def test_empty_distances(self):
         series = predict_series("FSPL", geometry(), [])
-        assert series.path_loss_db == []
+        assert series.path_loss_db.shape == (0,)
+
+    def test_curves_are_float_arrays(self):
+        series = predict_series("TWO_RAY", geometry(), [100.0, 200.0, 400.0])
+        for column in (series.distances_m, series.path_loss_db):
+            assert isinstance(column, np.ndarray) and column.dtype == float
+            assert column.shape == (3,)
+
+    def test_nonpositive_distance_refused_by_name(self):
+        with pytest.raises(ValueError, match="d2d_m must be > 0, got 0.0"):
+            predict_series("FSPL", geometry(), [0.0, 100.0])
 
     def test_uma_nlos_monotone(self):
         series = predict_series(
@@ -350,7 +362,21 @@ class TestCatalog:
                 "TWO_RAY"} <= ids
         for e in entries:
             assert set(e) == {"id", "condition", "freq_range_ghz", "dist_range_m",
-                              "published_sigma_db", "parameters"}
+                              "h_bs_range_m", "h_ut_range_m", "published_sigma_db",
+                              "parameters"}
+        # every range compare counts bins against, an open end as None
+        by_id = {e["id"]: e for e in entries}
+        assert by_id["SUI_A"]["h_bs_range_m"] == [10.0, 80.0]
+        assert by_id["TR38901_RMA_LOS"]["h_ut_range_m"] == [1.0, 10.0]
+        assert by_id["TR38901_UMA_NLOS"]["h_bs_range_m"] == [0.0, None]
+
+    def test_free_parameters_refused_by_one_message(self):
+        with pytest.raises(ValueError) as refused:
+            evaluable_model("log_distance")
+        assert str(refused.value) == "LOG_DISTANCE has free parameters (a0_db, gamma, d0_m)"
+        with pytest.raises(ValueError) as series:
+            predict_series("LOG_DISTANCE", geometry(), [100.0])
+        assert str(series.value) == str(refused.value)
 
     def test_case_insensitive_lookup(self):
         assert get_model("fspl").model_id == "FSPL"
