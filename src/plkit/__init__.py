@@ -29,7 +29,7 @@ from .analysis import (
     synthesize_from_model,
     synthesize_samples,
 )
-from .antenna import AntennaPattern, BeamSet, envelope, gain_at, peak_gain
+from .antenna import AntennaPattern, envelope, gain_at
 from .geo import GeodeticPoint, GridIndex, LocalPoint, Polygon
 from .ingest import (
     IndoorSession,

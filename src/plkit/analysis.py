@@ -20,6 +20,7 @@ from . import models
 from .columns import FINITE, POSITIVE, Chunk, Rule, check_record, int_array, read_csv, write_csv
 from .antenna import AntennaPattern, gain_at
 from .geo import (
+    MAX_DISTANCE_M,
     POSITION_RULES,
     GeodeticPoint,
     GridIndex,
@@ -154,7 +155,7 @@ class BinTable:
 
     def __iter__(self) -> Iterator[GridBin]:
         for i, j, e, n, u, rx, c, pl, d2, d3, la, lo, los, band in zip(
-            *self.columns(*_BIN_COLUMNS)
+            *(getattr(self, c).tolist() for c in _BIN_COLUMNS)
         ):
             yield GridBin(
                 GridIndex(i, j, self.grid_size), pl, d3, d2, c,
@@ -167,10 +168,6 @@ class BinTable:
     def take(self, rows) -> "BinTable":
         """The bins selected by a boolean mask or an index array."""
         return replace(self, **{c: getattr(self, c)[rows] for c in _BIN_COLUMNS})
-
-    def columns(self, *names: str) -> list[list]:
-        """The named columns as Python lists."""
-        return [getattr(self, c).tolist() for c in names]
 
 
 _BIN_COLUMNS = [f.name for f in fields(BinTable) if f.name != "grid_size"]
@@ -247,9 +244,6 @@ class CdfSeries:
         if abs(probabilities[-1] - 1.0) > 1e-12:
             raise ValueError("probabilities must end at 1.0")
 
-    def to_json_dict(self) -> dict:
-        return {"values": self.values.tolist(), "probabilities": self.probabilities.tolist()}
-
 
 @dataclass
 class ShadowFading:
@@ -305,10 +299,10 @@ def _table(records, kind: type = BinTable):
     return BinTable.from_records(records)
 
 
-def _like(given, table: BinTable, to_records=list):
-    """``table`` if the caller gave a table, else ``to_records(table)``
-    (GridBin records by default): lists in, lists out."""
-    return table if isinstance(given, (BinTable, SampleTable)) else to_records(table)
+def _like(given, table: BinTable):
+    """``table`` if the caller gave a table, else its GridBin records: lists
+    in, lists out."""
+    return table if isinstance(given, (BinTable, SampleTable)) else list(table)
 
 
 def _cells(east: np.ndarray, north: np.ndarray, grid_size: float) -> tuple[np.ndarray, np.ndarray]:
@@ -341,16 +335,6 @@ def _aggregate(samples: SampleTable, origin: GeodeticPoint, grid_size: float) ->
     )
 
 
-def _aggregates(table: BinTable) -> list[BinAggregate]:
-    """An aggregated table's rows as BinAggregate records."""
-    return [
-        BinAggregate(GridIndex(i, j, table.grid_size), LocalPoint(e, n, u), rx, c)
-        for i, j, e, n, u, rx, c in zip(
-            *table.columns("ix", "iy", "east", "north", "up", "rx_dbm", "count")
-        )
-    ]
-
-
 def aggregate_bins(
     samples: Union[SampleTable, Iterable[MeasurementSample]],
     origin: GeodeticPoint,
@@ -364,7 +348,14 @@ def aggregate_bins(
     :class:`SampleTable` gives a :class:`BinTable` in cell order;
     MeasurementSample objects give the same bins as BinAggregate objects.
     """
-    return _like(samples, _aggregate(_table(samples, SampleTable), origin, grid_size), _aggregates)
+    table = _aggregate(_table(samples, SampleTable), origin, grid_size)
+    if isinstance(samples, SampleTable):
+        return table
+    return [
+        BinAggregate(GridIndex(i, j, grid_size), LocalPoint(e, n, u), rx, c)
+        for i, j, e, n, u, rx, c in zip(*(getattr(table, name).tolist() for name in (
+            "ix", "iy", "east", "north", "up", "rx_dbm", "count")))
+    ]
 
 
 def extract_path_loss(
@@ -510,9 +501,10 @@ def prediction_errors(bins: Bins, model_id: str, template: models.LinkGeometry) 
     info = models.evaluable_model(model_id)
     errors = info.evaluate(template.with_distances(d2d, d3d)) - pl
     n = errors.size
-    mu = float(errors.mean())
-    sigma = float(np.std(errors, ddof=1)) if n > 1 else 0.0
-    rmse = float(np.sqrt(np.mean(errors**2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mu = float(errors.mean())
+        sigma = float(np.std(errors, ddof=1)) if n > 1 else 0.0
+        rmse = float(np.sqrt(np.mean(errors**2)))
     if not (math.isfinite(mu) and math.isfinite(sigma) and math.isfinite(rmse)):
         link = ", ".join(f"{key} {getattr(template, key):g}" for key in models.LINK_RULES)
         raise ValueError(f"{info.model_id}: error statistics are not finite (mu_e {mu:g}, "
@@ -649,8 +641,9 @@ def _draws(distance_range_m: tuple[float, float], n: int, sigma_db: float, seed:
     """``n`` log-uniform distances over the range, Gaussian shadowing
     (sigma in dB) and uniform bearings, in that order from ``seed``."""
     lo, hi = distance_range_m
-    if not (0 < lo < hi < math.inf):
-        raise ValueError(f"invalid distance range ({lo}, {hi})")
+    if not (0 < lo < hi <= MAX_DISTANCE_M):
+        raise ValueError(f"invalid distance range ({lo}, {hi}): "
+                         f"need 0 < min < max <= {MAX_DISTANCE_M:g} m")
     if n < 1:
         raise ValueError("n must be >= 1")
     if sigma_db < 0:
@@ -725,17 +718,20 @@ def _bad_bin_rows(pl: np.ndarray, d2d: np.ndarray, d3d: np.ndarray) -> np.ndarra
 
 def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
     """Write the bin table (full float precision so re-parsing is lossless);
-    a bin without a position has empty lat/lon cells. A bin that breaks the
-    reader's path-loss and distance rule is refused before the file opens."""
+    a bin without a position has empty lat/lon cells. A bin the reader would
+    refuse, by its path-loss and distance rule or by ``BIN_RULES``, is
+    refused before the file opens: the first such bin, by its cell, with the
+    first rule it breaks."""
     bins = _table(bins)
     if np.isnan(bins.pl_db).any():
         raise ValueError("bin table has no path loss yet; run extract_path_loss first")
-    columns = (bins.pl_db, bins.d2d_m, bins.d3d_m)
-    bad = np.flatnonzero(_bad_bin_rows(*columns))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"bin ({bins.ix[k]}, {bins.iy[k]}): "
-                         + BIN_ROW_RULE.format(*(c[k] for c in columns)))
+    pl, d2d, d3d = bins.pl_db, bins.d2d_m, bins.d3d_m
+    first = Chunk(len(BIN_FIELDS), range(len(bins)), [])  # keeps the first bin's first failure
+    first.check(_bad_bin_rows(pl, d2d, d3d), lambda k: BIN_ROW_RULE.format(pl[k], d2d[k], d3d[k]))
+    first.check_rules(BIN_RULES, {"path_loss_db": pl, "sample_count": bins.count,
+                                  "los": bins.los.tolist()})
+    if first.error is not None:
+        raise ValueError(f"bin ({bins.ix[first.n]}, {bins.iy[first.n]}): {first.error}")
     lat, lon = (np.where(np.isnan(c), None, c) if np.isnan(c).any() else c
                 for c in (bins.lat, bins.lon))
     bins = replace(bins, lat=lat, lon=lon)

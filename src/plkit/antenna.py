@@ -1,10 +1,10 @@
 """Directional antenna gain handling.
 
 A pattern is a rectangular gain grid over azimuth (full circle, wrapping)
-and elevation. Beamforming arrays are represented as a set of per-beam
-patterns; the composite coverage pattern is their pointwise-maximum
-envelope, which is how a grid-of-beams antenna behaves when the receiver
-always latches onto the strongest beam.
+and elevation. A grid-of-beams array is a list of per-beam patterns; its
+coverage pattern is their pointwise-maximum envelope, which is how such an
+antenna behaves when the receiver always latches onto the strongest beam.
+Commands read that envelope as a pattern CSV (:func:`save_pattern_csv`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import int_array, read_csv, read_json, whole, write_csv, write_json
+from .columns import int_array, read_csv, write_csv
 
 
 @dataclass
@@ -69,45 +69,16 @@ class AntennaPattern:
     def elevation_step(self) -> float:
         return float(self.elevation_deg[1] - self.elevation_deg[0])
 
-    def grids_match(self, other: "AntennaPattern") -> bool:
-        return (
-            self.azimuth_deg.shape == other.azimuth_deg.shape
-            and self.elevation_deg.shape == other.elevation_deg.shape
-            and np.array_equal(self.azimuth_deg, other.azimuth_deg)
-            and np.array_equal(self.elevation_deg, other.elevation_deg)
-        )
-
-
-@dataclass
-class BeamSet:
-    """Per-beam patterns of a grid-of-beams array, all on one sample grid."""
-
-    beams: list[AntennaPattern]
-    rows: int = 1
-    cols: int = 0
-
-    def __post_init__(self):
-        if not self.beams:
-            raise ValueError("beam set must contain at least one beam")
-        ref = self.beams[0]
-        for b in self.beams[1:]:
-            if not ref.grids_match(b):
-                raise ValueError("all beams must share identical sample grids")
-        if self.cols == 0:
-            self.cols = len(self.beams)
-
 
 def envelope(beams) -> AntennaPattern:
-    """Pointwise-maximum pattern over a BeamSet or iterable of patterns."""
-    if isinstance(beams, BeamSet):
-        patterns = beams.beams
-    else:
-        patterns = list(beams)
+    """Pointwise-maximum pattern over an iterable of patterns on one sample grid."""
+    patterns = list(beams)
     if not patterns:
         raise ValueError("envelope of an empty beam set is undefined")
     ref = patterns[0]
     for b in patterns[1:]:
-        if not ref.grids_match(b):
+        if not (np.array_equal(b.azimuth_deg, ref.azimuth_deg)
+                and np.array_equal(b.elevation_deg, ref.elevation_deg)):
             raise ValueError("envelope requires beams on identical sample grids")
         if b.boresight_azimuth != ref.boresight_azimuth or b.mechanical_tilt != ref.mechanical_tilt:
             raise ValueError("envelope requires a common boresight and tilt")
@@ -171,11 +142,6 @@ def gain_at(pattern: AntennaPattern, azimuth_deg, elevation_deg):
     return float(gain) if gain.ndim == 0 else gain
 
 
-def peak_gain(pattern: AntennaPattern) -> float:
-    """Maximum gain over the grid, in dBi."""
-    return float(pattern.gain_dbi.max())
-
-
 def isotropic(gain_dbi: float = 0.0) -> AntennaPattern:
     """Constant-gain pattern, handy for calibration and synthetic data."""
     az = np.arange(0.0, 360.0, 45.0)
@@ -206,17 +172,17 @@ def synthetic_beam(
 
 def synthetic_aas_beamset(
     peak_dbi: float = 27.0, rows: int = 3, cols: int = 16
-) -> BeamSet:
+) -> list[AntennaPattern]:
     """Synthetic grid-of-beams array: ``rows`` elevation rows of ``cols``
-    azimuth-steered lobes covering roughly a 120 x 30 degree sector."""
+    azimuth-steered lobes covering roughly a 120 x 30 degree sector, row
+    after row."""
     az_centers = np.linspace(-(cols - 1) * 4.0, (cols - 1) * 4.0, cols)
     el_centers = np.linspace((rows - 1) * 5.0, -(rows - 1) * 5.0, rows)
-    beams = [
+    return [
         synthetic_beam(a, e, peak_dbi=peak_dbi, name=f"r{ri}c{ci}")
         for ri, e in enumerate(el_centers)
         for ci, a in enumerate(az_centers)
     ]
-    return BeamSet(beams, rows=rows, cols=cols)
 
 
 PATTERN_FIELDS = ["azimuth_deg", "elevation_deg", "gain_dbi"]
@@ -259,49 +225,3 @@ def load_pattern_csv(
         mechanical_tilt=mechanical_tilt,
         name=path.stem,
     )
-
-
-def save_beamset(beams: BeamSet, directory) -> Path:
-    """Write per-beam CSVs plus a manifest; returns the manifest path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, beam in enumerate(beams.beams):
-        name = beam.name or f"beam_{i:02d}"
-        fname = f"{name}.csv"
-        save_pattern_csv(beam, directory / fname)
-        entries.append({"name": name, "file": fname})
-    manifest = {"layout": {"rows": beams.rows, "cols": beams.cols}, "beams": entries}
-    manifest_path = directory / "beams.json"
-    write_json(manifest_path, manifest)
-    return manifest_path
-
-
-def load_beamset(manifest_path) -> BeamSet:
-    """Load a beam set from a JSON manifest naming per-beam CSV files:
-    ``{"layout": {"rows", "cols"}, "beams": [{"name", "file"}, ...]}``,
-    with file paths relative to the manifest. The manifest's shape is
-    checked before any beam file is read."""
-    manifest_path = Path(manifest_path)
-    data = read_json(manifest_path, "beam-set manifest must be a JSON object")
-    layout = data.get("layout", {})
-    entries = data.get("beams")
-    if not (entries and isinstance(entries, list)):
-        raise ValueError(f"{manifest_path}: 'beams' must be a non-empty list, got {entries!r}")
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)):
-            raise ValueError(f"{manifest_path}: beam {i} must be an object with a 'file' "
-                             f"path string, got {entry!r}")
-    try:
-        rows, cols = whole(layout.get("rows", 1)), whole(layout.get("cols", 0))
-    except (AttributeError, ValueError):  # not an object, or a value not whole
-        rows = cols = None
-    if rows is None or rows < 1 or cols < 0 or rows * (cols or len(entries)) != len(entries):
-        raise ValueError(f"{manifest_path}: 'layout' must be an object of integer rows and "
-                         f"cols with rows x cols = {len(entries)} beams, got {layout!r}")
-    beams = []
-    for entry in entries:
-        pattern = load_pattern_csv(manifest_path.parent / entry["file"])
-        pattern.name = entry.get("name", pattern.name)
-        beams.append(pattern)
-    return BeamSet(beams, rows=rows, cols=cols)

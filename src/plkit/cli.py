@@ -20,8 +20,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, antenna, ingest, models
-from .columns import json_value, number, read_json, string, whole, write_csv, write_json
-from .geo import GeodeticPoint, load_polygons
+from .columns import (json_value, number, read_json, string, whole, within, write_csv,
+                      write_json)
+from .geo import MAX_DISTANCE_M, GeodeticPoint, load_polygons
 
 
 def _models(value) -> str:
@@ -97,6 +98,12 @@ def cmd_models(args) -> int:
 def cmd_synth(args) -> int:
     origin = GeodeticPoint(args.lat, args.lon)
     link = _link(args)
+    distances = {"--d-min": args.d_min, "--d-max": args.d_max}
+    if not args.model:  # a model run ignores --d0
+        distances["--d0"] = args.d0
+    for flag, value in distances.items():
+        if value > MAX_DISTANCE_M:
+            raise ValueError(within(flag, MAX_DISTANCE_M).refusal(value))
     if args.model:
         # the draws place the links: the template carries only the link parameters
         template = models.LinkGeometry(np.empty(0), np.empty(0), **link)

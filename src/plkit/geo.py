@@ -29,6 +29,9 @@ _MAX_OFFSET_DEG = 1.0
 
 # the bound of every height and altitude above ground (README, "Input rules")
 MAX_HEIGHT_M = 1e3
+# the bound of a synthetic link distance: five times Hata's 20 km, the widest
+# validity range of the model catalog (README, "Input rules")
+MAX_DISTANCE_M = 1e5
 # what a GeodeticPoint checks, and every reader of a position column
 POSITION_RULES = {
     "latitude": Rule("latitude {value!r} outside [-90, 90]", -90.0, 90.0),
@@ -79,10 +82,6 @@ class GridIndex:
 
     def __post_init__(self):
         check_grid_size(self.grid_size)
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.ix, self.iy)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 @pytest.fixture(scope="session")
 def aas_beamset():
-    """48 synthetic lobes on a 3x16 grid, peaking at 27 dBi."""
+    """48 synthetic lobes on a 3x16 grid, peaking at 27 dBi, as a list of patterns."""
     return synthetic_aas_beamset(peak_dbi=27.0, rows=3, cols=16)
 
 

@@ -222,7 +222,7 @@ def test_criterion_6_pipeline_invariants(rng):
         key = (math.floor(lp.east / 5.0), math.floor(lp.north / 5.0))
         groups.setdefault(key, []).append(s.received_power_dbm)
     for agg in reference:
-        vals = sorted(groups[agg.index.key])
+        vals = sorted(groups[agg.index.ix, agg.index.iy])
         n = len(vals)
         want = vals[n // 2] if n % 2 else 0.5 * (vals[n // 2 - 1] + vals[n // 2])
         assert agg.median_rx_power_dbm == pytest.approx(want, abs=1e-12)
@@ -252,7 +252,7 @@ def test_criterion_6_pipeline_invariants(rng):
     env = envelope(beams)
     for i in range(env.azimuth_deg.size):
         for j in range(env.elevation_deg.size):
-            assert env.gain_dbi[i, j] == max(b.gain_dbi[i, j] for b in beams.beams)
+            assert env.gain_dbi[i, j] == max(b.gain_dbi[i, j] for b in beams)
 
     # OLS residuals average to zero
     bins = synthesize_samples(83.33, 2.9, 6.9, 100.0, 2000, (100.0, 2000.0), seed=13)

@@ -97,9 +97,9 @@ class TestAggregateBins:
             lp = to_local(ORIGIN, s.position)
             key = (math.floor(lp.east / 5.0), math.floor(lp.north / 5.0))
             groups.setdefault(key, []).append(s.received_power_dbm)
-        assert {a.index.key for a in aggs} == set(groups)
+        assert {(a.index.ix, a.index.iy) for a in aggs} == set(groups)
         for a in aggs:
-            vals = sorted(groups[a.index.key])
+            vals = sorted(groups[a.index.ix, a.index.iy])
             n = len(vals)
             want = vals[n // 2] if n % 2 else (vals[n // 2 - 1] + vals[n // 2]) / 2.0
             assert a.median_rx_power_dbm == pytest.approx(want, abs=1e-12)
@@ -495,7 +495,7 @@ class TestBinTableIO:
         loaded = read_bins_csv(path)
         assert len(loaded) == len(bins)
         for a, b in zip(loaded, bins):
-            assert a.index.key == b.index.key
+            assert a.index == b.index
             assert a.path_loss_db == b.path_loss_db
             assert a.distance_2d_m == b.distance_2d_m
             assert a.distance_3d_m == b.distance_3d_m

@@ -5,14 +5,9 @@ from plkit.antenna import (
     AntennaPattern,
     envelope,
     gain_at,
-    isotropic,
-    load_beamset,
     load_pattern_csv,
-    peak_gain,
-    save_beamset,
     save_pattern_csv,
     synthetic_beam,
-    synthetic_aas_beamset,
 )
 
 
@@ -87,7 +82,7 @@ class TestEnvelope:
 
     def test_48_beam_brute_force_max(self, aas_beamset):
         env = envelope(aas_beamset)
-        beams = aas_beamset.beams
+        beams = aas_beamset
         for i in range(0, env.azimuth_deg.size, 7):
             for j in range(env.elevation_deg.size):
                 expected = max(b.gain_dbi[i, j] for b in beams)
@@ -95,14 +90,14 @@ class TestEnvelope:
 
     def test_pointwise_upper_bound_and_idempotence(self, aas_beamset):
         env = envelope(aas_beamset)
-        for b in aas_beamset.beams:
+        for b in aas_beamset:
             assert np.all(env.gain_dbi >= b.gain_dbi)
-        again = envelope([env] + aas_beamset.beams)
+        again = envelope([env] + aas_beamset)
         assert np.array_equal(again.gain_dbi, env.gain_dbi)
 
     def test_order_invariance(self, aas_beamset, rng):
         env = envelope(aas_beamset)
-        shuffled = list(aas_beamset.beams)
+        shuffled = list(aas_beamset)
         rng.shuffle(shuffled)
         assert np.array_equal(envelope(shuffled).gain_dbi, env.gain_dbi)
 
@@ -115,6 +110,9 @@ class TestEnvelope:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             envelope([])
+
+    def test_aas_envelope_peaks_at_27(self, aas_envelope):
+        assert aas_envelope.gain_dbi.max() == pytest.approx(27.0)
 
 
 class TestGainAt:
@@ -165,19 +163,6 @@ class TestGainAt:
             assert gain_at(p, 0.0, -45.0) == pytest.approx(0.0)
 
 
-class TestPeakGain:
-    def test_aas_envelope_is_27(self, aas_envelope):
-        assert peak_gain(aas_envelope) == pytest.approx(27.0)
-
-    def test_constant_zero(self):
-        assert peak_gain(isotropic(0.0)) == 0.0
-
-    def test_single_raised_node(self):
-        gain = np.zeros((4, 3))
-        gain[2, 0] = 5.0
-        assert peak_gain(make_pattern(gain)) == 5.0
-
-
 class TestIO:
     def test_pattern_round_trip(self, tmp_path):
         beam = synthetic_beam(10.0, -5.0, peak_dbi=17.0, azimuth_step=5.0,
@@ -188,18 +173,6 @@ class TestIO:
         assert np.array_equal(loaded.azimuth_deg, beam.azimuth_deg)
         assert np.array_equal(loaded.elevation_deg, beam.elevation_deg)
         assert np.allclose(loaded.gain_dbi, beam.gain_dbi)
-
-    def test_beamset_round_trip(self, tmp_path):
-        beams = synthetic_aas_beamset(rows=2, cols=3)
-        manifest = save_beamset(beams, tmp_path / "beams")
-        loaded = load_beamset(manifest)
-        assert loaded.rows == 2 and loaded.cols == 3
-        assert len(loaded.beams) == 6
-        for a, b in zip(loaded.beams, beams.beams):
-            assert np.allclose(a.gain_dbi, b.gain_dbi)
-        env_a = envelope(loaded)
-        env_b = envelope(beams)
-        assert np.allclose(env_a.gain_dbi, env_b.gain_dbi)
 
     def test_incomplete_grid_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -77,7 +77,7 @@ class TestReadTable:
 
 class TestWriteOnlyWhatReadsBack:
     """``write_bins_csv`` holds each bin to the reader's path-loss and
-    distance rule and refuses before the file opens."""
+    distance rule and to ``BIN_RULES``, and refuses before the file opens."""
 
     @pytest.mark.parametrize("pl, d3d, d2d", [
         (100.0, -1.0, -2.0), (100.0, 50.0, 60.0), (100.0, math.inf, 50.0),
@@ -92,6 +92,22 @@ class TestWriteOnlyWhatReadsBack:
         assert str(refused.value) == (
             "bin (3, -4): need a finite pl_db and finite 0 < d2d_m <= d3d_m, "
             f"got pl_db={pl}, d2d_m={d2d}, d3d_m={d3d}")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("count", 0, "sample_count must be >= 1"),
+        ("pl_db", 0.0, "path loss must be finite and > 0, got 0.0"),
+        ("los", "maybe", "los must be one of ('LOS', 'NLOS', 'UNKNOWN')"),
+    ])
+    def test_a_bin_that_breaks_a_bin_rule_is_not_written(self, tmp_path, column, value,
+                                                          message):
+        table = synthesize_samples(83.33, 2.9, 6.9, 100.0, 3, (100.0, 2000.0), seed=1)
+        cells = getattr(table, column).copy()
+        cells[1] = value
+        path = tmp_path / "bins.csv"
+        with pytest.raises(ValueError) as refused:
+            write_bins_csv(replace(table, **{column: cells}), path)
+        assert str(refused.value) == f"bin ({table.ix[1]}, {table.iy[1]}): {message}"
         assert not path.exists()
 
 

@@ -187,7 +187,7 @@ class TestBinCommand:
         log.write_text("\n".join(rows) + "\n")
         bins_path = tmp_path / "bins.csv"
         assert run(["bin", log, "--site", tmp_path / "site.json", "--out", bins_path]) == 0
-        by_key = {b.index.key: b for b in read_bins_csv(bins_path)}
+        by_key = {(b.index.ix, b.index.iy): b for b in read_bins_csv(bins_path)}
         east = next(b for k, b in by_key.items() if k[0] > 0)
         north = next(b for k, b in by_key.items() if k[1] > 0)
         # the boresight points east: full gain toward the east sample only

@@ -11,8 +11,7 @@ from pathlib import Path
 import pytest
 
 from plkit.analysis import (BIN_FIELDS, aggregate_bins, prediction_errors, read_bins_csv,
-                            write_bins_csv)
-from plkit.antenna import load_beamset, save_beamset, synthetic_aas_beamset
+                            synthesize_samples, write_bins_csv)
 from plkit.cli import main
 from plkit.geo import GeodeticPoint, GridIndex, load_polygons
 from plkit.ingest import SampleTable, read_samples_csv
@@ -516,13 +515,6 @@ class TestRefusalsNameTheFile:
         out = tmp_path / "cdfs"
         assert_exit_2(["o2i", path, "--out", out], capsys, out, f"error: {path}: Expecting")
 
-    def test_a_beam_set_manifest_must_be_an_object(self, tmp_path):
-        path = tmp_path / "beams.json"
-        path.write_text("[]")
-        with pytest.raises(ValueError) as info:
-            load_beamset(path)
-        assert str(info.value) == f"{path}: beam-set manifest must be a JSON object"
-
 
 class TestBandCells:
     """A NUL in a band cell, which a numpy string column would drop, is
@@ -666,7 +658,31 @@ class TestSynthInputs:
     def test_an_infinite_distance_range_exits_2(self, tmp_path, capsys, model):
         out = tmp_path / "bins.csv"
         assert_exit_2(["synth", "--n", 50, "--d-max", "inf", "--out", out] + model, capsys, out,
-                      "invalid distance range (100.0, inf)")
+                      "error: --d-max inf outside (0, 100000]")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--emit", "log", "--d-max", "1e308"], "--d-max 1e+308 outside (0, 100000]"),
+        (["--emit", "log", "--d-max", "1e160"], "--d-max 1e+160 outside (0, 100000]"),
+        (["--model", "FSPL", "--d-max", "1e308"], "--d-max 1e+308 outside (0, 100000]"),
+        (["--d-min", "2e5", "--d-max", "3e5"], "--d-min 200000.0 outside (0, 100000]"),
+        (["--d0", "1e308"], "--d0 1e+308 outside (0, 100000]"),
+    ], ids=["log-1e308", "log-1e160", "model", "d-min", "d0"])
+    def test_a_distance_over_the_bound_is_refused_by_its_flag(self, tmp_path, capsys, flags,
+                                                              message):
+        """Before the bound, --d-max 1e308 overflowed d3d**2 and blamed the grid size."""
+        out = tmp_path / "out"
+        assert_exit_2(["synth", "--n", 20, "--out", out] + flags, capsys, out,
+                      f"error: {message}\n")
+
+    def test_the_distance_bound_is_inclusive(self, tmp_path):
+        out = tmp_path / "bins.csv"
+        assert run(["synth", "--n", 20, "--d-max", "1e5", "--d0", "1e5", "--out", out]) == 0
+
+    def test_a_library_distance_range_is_held_to_the_bound(self):
+        with pytest.raises(ValueError) as refused:
+            synthesize_samples(80.0, 3.0, 0.0, 100.0, 5, (100.0, 1e308), seed=0)
+        assert str(refused.value) == ("invalid distance range (100.0, 1e+308): "
+                                      "need 0 < min < max <= 100000 m")
 
     @pytest.mark.parametrize("flags", [["--rx-gain", "nan"], ["--tx-power", "nan"],
                                        ["--h-ut", "-1"], ["--tx-power", "90", "--gamma", "0.5"]])
@@ -703,55 +719,9 @@ class TestSynthInputs:
         """--d0 sets only the log-distance law's reference distance."""
         plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
         assert run(["synth", "--model", "FSPL", "--n", 50, "--out", plain]) == 0
-        assert run(["synth", "--model", "FSPL", "--n", 50, "--d0", -1, "--out", odd]) == 0
-        assert odd.read_bytes() == plain.read_bytes()
-
-
-class TestBeamSetManifests:
-    @pytest.mark.parametrize("doc, message", [
-        ({"beams": [{"name": "b0"}]}, "beam 0 must be an object with a 'file' path string"),
-        ({"beams": [{"file": "b0.csv"}, "b1.csv"]},
-         "beam 1 must be an object with a 'file' path string"),
-        ({"beams": [{"file": 5}]}, "beam 0 must be an object with a 'file' path string"),
-        ({"beams": {"b0": {"file": "b0.csv"}}}, "'beams' must be a non-empty list"),
-        ({"beams": []}, "'beams' must be a non-empty list"),
-        ({"layout": [3, 16], "beams": [{"file": "b0.csv"}]},
-         "'layout' must be an object of integer rows and cols"),
-        ({"layout": {"rows": None}, "beams": [{"file": "b0.csv"}]},
-         "'layout' must be an object of integer rows and cols"),
-    ])
-    def test_a_malformed_manifest_is_refused_before_any_beam_loads(self, tmp_path, doc,
-                                                                   message):
-        path = tmp_path / "beams.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError) as info:
-            load_beamset(path)  # b0.csv does not exist: no beam file was opened
-        assert str(info.value).startswith(f"{path}: {message}")
-
-    @pytest.mark.parametrize("layout", [
-        {"rows": 2.7, "cols": True}, {"rows": True}, {"rows": 2, "cols": 1.5},
-        {"rows": "2.0", "cols": 1}, {"rows": 3, "cols": 5}, {"rows": 2}, {"rows": 0},
-        {"rows": -1, "cols": -2}, {"cols": 1},
-    ])
-    def test_a_layout_must_be_whole_and_fit_its_beams(self, tmp_path, layout):
-        path = tmp_path / "beams.json"
-        path.write_text(json.dumps({"layout": layout,
-                                    "beams": [{"file": "b0.csv"}, {"file": "b1.csv"}]}))
-        with pytest.raises(ValueError) as info:
-            load_beamset(path)  # neither beam file exists: none was opened
-        assert str(info.value) == (f"{path}: 'layout' must be an object of integer rows and "
-                                   f"cols with rows x cols = 2 beams, got {layout!r}")
-
-    @pytest.mark.parametrize("layout, shape", [
-        ({"rows": 2.0, "cols": "1"}, (2, 1)), ({"rows": 1}, (1, 2)), ({}, (1, 2)),
-        ({"rows": 1, "cols": 0}, (1, 2)),
-    ])
-    def test_a_whole_layout_that_fits_loads(self, tmp_path, layout, shape):
-        manifest = save_beamset(synthetic_aas_beamset(rows=1, cols=2), tmp_path)
-        doc = json.loads(manifest.read_text())
-        manifest.write_text(json.dumps(dict(doc, layout=layout)))
-        beams = load_beamset(manifest)
-        assert (beams.rows, beams.cols) == shape
+        for d0 in (-1, 1e308):
+            assert run(["synth", "--model", "FSPL", "--n", 50, "--d0", d0, "--out", odd]) == 0
+            assert odd.read_bytes() == plain.read_bytes()
 
 
 class TestCatalogEntry:
@@ -773,14 +743,12 @@ class TestCatalogEntry:
         assert str(series.value) == self.FREE
 
     # SUI's c / h_bs term gives losses near 1e302 dB, whose squares overflow
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_statistics_that_overflow_name_the_model_and_link(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         assert_exit_2(["compare", GOLDEN / "bins.csv", "--models", "FSPL,SUI_A",
                        "--h-bs", "1e-300", "--out", out], capsys, out,
                       "error: SUI_A: error statistics are not finite")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_the_overflow_message_lists_every_link_parameter(self):
         with pytest.raises(ValueError) as refused:
             prediction_errors(read_bins_csv(GOLDEN / "bins.csv"), "SUI_A",

@@ -193,13 +193,13 @@ def one_sample_bin(east, north, grid_size=5.0):
 
 class TestBinIndex:
     def test_origin(self):
-        assert one_sample_bin(0.0, 0.0).index.key == (0, 0)
+        assert one_sample_bin(0.0, 0.0).index == GridIndex(0, 0)
 
     def test_floor_negative(self):
-        assert one_sample_bin(12.3, -0.1).index.key == (2, -1)
+        assert one_sample_bin(12.3, -0.1).index == GridIndex(2, -1)
 
     def test_boundary_interior(self):
-        assert one_sample_bin(4.999, 4.999).index.key == (0, 0)
+        assert one_sample_bin(4.999, 4.999).index == GridIndex(0, 0)
 
     def test_translation_consistency(self, rng):
         for _ in range(200):
@@ -210,7 +210,7 @@ class TestBinIndex:
             assert (shifted.index.ix, shifted.index.iy) == (base.index.ix + 1, base.index.iy)
             # floor convention on the projected position, the one-sample centroid
             c = base.centroid
-            assert base.index.key == (math.floor(c.east / g), math.floor(c.north / g))
+            assert base.index == GridIndex(math.floor(c.east / g), math.floor(c.north / g), g)
 
 
 L_SHAPE = [(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (1.0, 1.0), (1.0, 3.0), (0.0, 3.0)]
