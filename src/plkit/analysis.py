@@ -9,7 +9,11 @@ shadow-fading distribution checks, and outdoor-to-indoor CDFs.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -716,26 +720,105 @@ def _bad_bin_rows(pl: np.ndarray, d2d: np.ndarray, d3d: np.ndarray) -> np.ndarra
     return ~(np.isfinite(pl) & (0.0 < d2d) & (d2d <= d3d) & (d3d < math.inf))
 
 
+def _bin_refusal(ix, iy, lat, lon, d2d, d3d, pl, count, los, band) -> Optional[str]:
+    """``bin (ix, iy): <message>`` for the first bin the reader would refuse
+    or read back changed, or None: a bin is held, in the order the reader
+    checks a row, to lat and lon both set or both NaN, to ``POSITION_RULES``
+    where it has a position, to ``BIN_ROW_RULE``, to ``BIN_RULES`` and to a
+    band with no NUL. ``los`` and ``band`` are (labels, codes) pairs."""
+    first = Chunk(len(BIN_FIELDS), range(len(ix)), [])  # keeps the first bin's first failure
+    first.check(np.isnan(lat) != np.isnan(lon),
+                lambda k: f"need lat and lon both set or both empty, got lat={lat[k]}, lon={lon[k]}")
+    has_pos = np.flatnonzero(~np.isnan(lat))
+    first.check_rules(POSITION_RULES, {"latitude": lat[has_pos], "longitude": lon[has_pos]}, has_pos)
+    first.check(_bad_bin_rows(pl, d2d, d3d), lambda k: BIN_ROW_RULE.format(pl[k], d2d[k], d3d[k]))
+    first.check_rules(BIN_RULES, {"path_loss_db": pl, "sample_count": count})
+    (names, codes), rule = los, BIN_RULES["los"]
+    first.check(rule.fails(names)[codes], lambda k: rule.refusal(names[codes[k]]))
+    if any("\0" in name for name in band[0].tolist()):
+        check_band(first, band[0][band[1]].tolist())
+    return None if first.error is None else f"bin ({ix[first.n]}, {iy[first.n]}): {first.error}"
+
+
+# The column file beside a bin table: a JSON header line, then the columns in
+# BIN_FIELDS order, with los and band as codes into the header's labels.
+COLUMN_FILE_VERSION = 1
+_COLUMN_TYPES = ("<i8", "<i8", "<f8", "<f8", "<f8", "<f8", "<f8", "<i8", "u1", "u1")
+_ROW_BYTES = sum(np.dtype(kind).itemsize for kind in _COLUMN_TYPES)
+
+
+def _sha256(path) -> str:
+    """SHA-256 of a file's bytes, read 64 kB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _write_columns(path, columns: list, labels: list) -> None:
+    """Replace the column file of the bin table just written at ``path``;
+    remove it for an empty table, an int column that is not a machine int,
+    over 255 labels in a column, a table that is no regular file (hashing a
+    pipe would wait on it) or a file that cannot be written."""
+    try:
+        if (len(columns[0]) and all(columns[k].dtype.kind == "i" for k in (0, 1, 7))
+                and all(len(names) <= 255 for names, _ in labels)
+                and os.path.isfile(path) and not os.path.islink(path)):
+            head = {"version": COLUMN_FILE_VERSION, "rows": len(columns[0]),
+                    "sha256": _sha256(path), "los": labels[0][0].tolist(),
+                    "band": labels[1][0].tolist()}
+            with open(f"{path}.cols", "wb") as fh:
+                fh.write(json.dumps(head).encode() + b"\n")
+                for column, kind in zip([*columns, *(c for _, c in labels)], _COLUMN_TYPES):
+                    column.astype(kind, copy=False).tofile(fh)
+            return
+    except OSError:
+        pass
+    with contextlib.suppress(OSError):
+        os.remove(f"{path}.cols")
+
+
+def _read_columns(path) -> Optional[list]:
+    """The columns in the column file beside the bin table at ``path``, or
+    None unless its header parses and names the table's SHA-256 and the rows
+    its size holds, and its columns pass :func:`_bin_refusal`."""
+    try:
+        with open(f"{path}.cols", "rb") as fh:
+            head = json.loads(fh.readline(1 << 16))
+            n = head["rows"]
+            if (head["version"] != COLUMN_FILE_VERSION or head["sha256"] != _sha256(path)
+                    or os.fstat(fh.fileno()).st_size != fh.tell() + n * _ROW_BYTES):
+                return None
+            columns = [np.fromfile(fh, kind, n) for kind in _COLUMN_TYPES]
+        labels = [(np.array(head[name], dtype=str), codes)
+                  for name, codes in zip(("los", "band"), columns[8:])]
+        if _bin_refusal(*columns[:8], *labels) is None:
+            return [*columns[:8], *(names[codes] for names, codes in labels)]
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        pass  # a missing, stale or damaged column file: the text is parsed
+    return None
+
+
 def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
-    """Write the bin table (full float precision so re-parsing is lossless);
-    a bin without a position has empty lat/lon cells. A bin the reader would
-    refuse, by its path-loss and distance rule or by ``BIN_RULES``, is
-    refused before the file opens: the first such bin, by its cell, with the
-    first rule it breaks."""
+    """Write the bin table (full float precision so re-parsing is lossless)
+    and, beside it, its column file ``<path>.cols``; a bin without a position
+    has empty lat/lon cells. A bin the reader would refuse or read back
+    changed is refused before the file opens: the first such bin, by its
+    cell, with the first rule it breaks (see :func:`_bin_refusal`)."""
     bins = _table(bins)
     if np.isnan(bins.pl_db).any():
         raise ValueError("bin table has no path loss yet; run extract_path_loss first")
-    pl, d2d, d3d = bins.pl_db, bins.d2d_m, bins.d3d_m
-    first = Chunk(len(BIN_FIELDS), range(len(bins)), [])  # keeps the first bin's first failure
-    first.check(_bad_bin_rows(pl, d2d, d3d), lambda k: BIN_ROW_RULE.format(pl[k], d2d[k], d3d[k]))
-    first.check_rules(BIN_RULES, {"path_loss_db": pl, "sample_count": bins.count,
-                                  "los": bins.los.tolist()})
-    if first.error is not None:
-        raise ValueError(f"bin ({bins.ix[first.n]}, {bins.iy[first.n]}): {first.error}")
-    lat, lon = (np.where(np.isnan(c), None, c) if np.isnan(c).any() else c
-                for c in (bins.lat, bins.lon))
-    bins = replace(bins, lat=lat, lon=lon)
-    write_csv(path, BIN_FIELDS, [getattr(bins, name) for name in BIN_FIELDS])
+    # one NaN where a bin has no position, as the reader makes it
+    lat, lon = (np.where(np.isnan(c), np.nan, c) for c in (bins.lat, bins.lon))
+    columns = [bins.ix, bins.iy, lat, lon, bins.d2d_m, bins.d3d_m, bins.pl_db, bins.count]
+    labels = [np.unique(c, return_inverse=True) for c in (bins.los, bins.band)]
+    refusal = _bin_refusal(*columns, *labels)
+    if refusal is not None:
+        raise ValueError(refusal)
+    cells = (np.where(np.isnan(c), None, c) if np.isnan(c).any() else c for c in (lat, lon))
+    write_csv(path, BIN_FIELDS, [*columns[:2], *cells, *columns[4:], bins.los, bins.band])
+    _write_columns(path, columns, labels)
 
 
 def _read_bin_rows(chunk: Chunk) -> list:
@@ -764,11 +847,12 @@ def _read_bin_rows(chunk: Chunk) -> list:
 
 def read_bins_csv(path, grid_size: float = 5.0) -> BinTable:
     """Read a bin table back as a BinTable (the file holds no centroids or
-    median powers; those columns are NaN).
+    median powers; those columns are NaN), from its column file while that
+    holds the table's hash and passes the writer's checks.
 
     Rejects, with the line number, rows whose path loss is not finite or
     whose distances are not finite with 0 < d2d_m <= d3d_m.
     """
     check_grid_size(grid_size)
-    read = read_csv(path, BIN_FIELDS, "wrong field count", _read_bin_rows)
+    read = _read_columns(path) or read_csv(path, BIN_FIELDS, "wrong field count", _read_bin_rows)
     return BinTable(**dict(zip(BIN_FIELDS, read)), grid_size=grid_size)

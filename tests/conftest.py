@@ -15,6 +15,11 @@ settings.register_profile("default", max_examples=120, deadline=None)
 settings.register_profile("ci", max_examples=480, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
+# An overflow, an invalid value or a division by zero in numpy fails the test
+# that makes it (FloatingPointError) instead of passing as a RuntimeWarning or
+# flowing on as inf or NaN.
+np.seterr(over="raise", invalid="raise", divide="raise")
+
 
 @pytest.fixture(scope="session")
 def aas_beamset():

@@ -1,11 +1,18 @@
-"""Bin tables read from disk stay columns: what reads them, what consumes
-them, and the input checks that ride along (compare's height consistency,
-MultiPolygon features, duplicated antenna-pattern nodes)."""
+"""Bin tables read from disk stay columns: what reads them (the text, or
+the column file beside it), what consumes them, and the input checks that
+ride along (compare's height consistency, MultiPolygon features,
+duplicated antenna-pattern nodes)."""
 
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,6 +117,27 @@ class TestWriteOnlyWhatReadsBack:
         assert str(refused.value) == f"bin ({table.ix[1]}, {table.iy[1]}): {message}"
         assert not path.exists()
 
+    @pytest.mark.parametrize("lat, lon, band, message", [
+        (95.0, 8.0, "3.5GHz", "latitude 95.0 outside [-90, 90]"),
+        (math.nan, 8.0, "3.5GHz", "need lat and lon both set or both empty, got lat=nan, lon=8.0"),
+        (47.0, math.nan, "3.5GHz",
+         "need lat and lon both set or both empty, got lat=47.0, lon=nan"),
+        (47.0, 8.0, "3.5\0GHz", "band must not hold a NUL, got '3.5\\x00GHz'"),
+    ])
+    def test_a_bin_the_reader_refuses_or_changes_is_not_written(self, tmp_path, lat, lon, band,
+                                                                message):
+        """The reader refuses a latitude outside [-90, 90], a latitude without
+        a longitude and a NUL in a band, and drops a longitude without a
+        latitude: the writer refuses each before the file opens."""
+        table = synthesize_samples(83.33, 2.9, 6.9, 100.0, 3, (100.0, 2000.0), seed=1)
+        lats, lons, bands = table.lat.copy(), table.lon.copy(), table.band.astype(object)
+        lats[1], lons[1], bands[1] = lat, lon, band
+        path = tmp_path / "bins.csv"
+        with pytest.raises(ValueError) as refused:
+            write_bins_csv(replace(table, lat=lats, lon=lons, band=bands), path)
+        assert str(refused.value) == f"bin ({table.ix[1]}, {table.iy[1]}): {message}"
+        assert not path.exists()
+
 
 class TestConsumersOnTables:
     def test_table_and_records_give_the_same_results(self, bins, table):
@@ -211,6 +239,188 @@ class TestRecords:
         aggregates = analysis.aggregate_bins(list(samples), origin, grid_size)
         assert all(isinstance(a, analysis.BinAggregate) for a in aggregates)
         assert BinTable.from_records(aggregates) == table
+
+
+@st.composite
+def written_tables(draw):
+    """A table the writer takes: ``bin_tables`` with d3d_m >= d2d_m, bands of
+    any text but a NUL (quoted cells included), and a negative NaN where a
+    bin has no position, which the writer writes as the reader's NaN."""
+    table = draw(bin_tables())
+    n = len(table)
+    bands = st.one_of(st.sampled_from(["", "3.5GHz", "800MHz"]),
+                      st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=4))
+    lat, lon = (np.where(np.isnan(c), -np.nan, c) for c in (table.lat, table.lon))
+    return replace(table, d3d_m=np.maximum(table.d2d_m, table.d3d_m), lat=lat, lon=lon,
+                   band=np.array(draw(st.lists(bands, min_size=n, max_size=n)), dtype=str))
+
+
+def parsed(path):
+    """The table parsed from the text, as with no column file beside it."""
+    with mock.patch.object(analysis, "_read_columns", return_value=None):
+        return read_bins_csv(path)
+
+
+def from_columns(path):
+    """The table read from its column file: parsing the text fails."""
+    with mock.patch.object(analysis, "read_csv", side_effect=AssertionError("text parsed")):
+        return read_bins_csv(path)
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_bitwise_equal(got, want):
+    """Every column of the same dtype and the same values, floats bit for
+    bit (NaN payloads and signs included)."""
+    assert isinstance(got, BinTable) and isinstance(want, BinTable)
+    for name in analysis._BIN_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        if a.dtype.kind == "f":
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert a.tolist() == b.tolist(), name
+    assert got.grid_size == want.grid_size
+
+
+def rewrite_rows(path, edit):
+    """Rewrite the table's rows as ``edit`` changes them, through csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows[:1] + edit(rows[1:]))
+
+
+def damage(cols: Path, kind: str, noise: bytes) -> None:
+    """Damage a column file: garbage, truncated, or a header with another
+    version, hash, row count (one that no memory holds included) or labels,
+    or a path loss the rules refuse."""
+    data = cols.read_bytes()
+    line, body = data.split(b"\n", 1)
+    head = json.loads(line)
+    if kind == "garbage":
+        data = noise
+    elif kind == "truncated":
+        data = data[:len(noise) % len(data)]
+    elif kind == "refused value":  # pl_db of the first bin, the seventh column, is -1
+        at = len(line) + 1 + 6 * 8 * head["rows"]
+        data = data[:at] + np.array([-1.0], "<f8").tobytes() + data[at + 8:]
+    else:
+        key, value = {"version": ("version", 2), "hash": ("sha256", "0" * 64),
+                      "rows": ("rows", head["rows"] + 1), "huge rows": ("rows", 10**15),
+                      "labels": ("los", ["maybe"]),
+                      "no labels": ("band", [])}[kind]
+        data = json.dumps({**head, key: value}).encode() + b"\n" + body
+    cols.write_bytes(data)
+
+
+class TestColumnFile:
+    """``write_bins_csv`` writes ``<path>.cols`` beside the table, and
+    ``read_bins_csv`` reads it only while it holds the table's hash and
+    passes the writer's checks: the result is the text's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(written_tables())
+    def test_the_column_file_reads_as_the_text(self, table):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "bins.csv"
+            write_bins_csv(table, path)
+            assert Path(f"{path}.cols").exists() == (len(table) > 0)
+            if len(table):
+                assert_bitwise_equal(from_columns(path), parsed(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(written_tables().filter(len), st.data())
+    def test_an_edited_table_is_parsed_not_read_from_the_stale_file(self, table, data):
+        k = data.draw(st.integers(0, len(table) - 1))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "bins.csv"
+            write_bins_csv(table, path)
+            rewrite_rows(path, lambda rows: rows[:k] + [rows[k][:6] + ["1234.5"] + rows[k][7:]]
+                         + rows[k + 1:])
+            edited = read_bins_csv(path)
+            assert edited.pl_db[k] == 1234.5
+            assert_bitwise_equal(edited, parsed(path))
+            write_bins_csv(table, path)
+            rewrite_rows(path, lambda rows: rows[:k] + rows[k + 1:])
+            dropped = read_bins_csv(path)
+            assert len(dropped) == len(table) - 1
+            assert_bitwise_equal(dropped, parsed(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(written_tables().filter(len),
+           st.sampled_from(["garbage", "truncated", "version", "hash", "rows", "huge rows",
+                            "labels", "no labels", "refused value"]),
+           st.binary(max_size=200), st.booleans())
+    def test_a_damaged_column_file_changes_nothing(self, table, kind, noise, refused_cell):
+        """The same table, or with a refused cell in the text, the same
+        refusal."""
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "bins.csv"
+            write_bins_csv(table, path)
+            cols = Path(f"{path}.cols")
+            damage(cols, kind, noise)
+            if refused_cell:
+                stale = cols.read_bytes()
+                rewrite_rows(path, lambda rows: [rows[0][:6] + ["-1"] + rows[0][7:]] + rows[1:])
+                cols.write_bytes(stale)
+            got, want = outcome(read_bins_csv, path), outcome(parsed, path)
+            if refused_cell:
+                assert got == want and "line 2: path loss must be finite and > 0" in got
+            else:
+                assert_bitwise_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(written_tables().filter(len))
+    def test_the_same_table_writes_the_same_column_file(self, table):
+        with tempfile.TemporaryDirectory() as directory:
+            first, second = Path(directory) / "a.csv", Path(directory) / "b.csv"
+            write_bins_csv(table, first)
+            written = Path(f"{first}.cols").read_bytes()
+            write_bins_csv(table, first)
+            write_bins_csv(table, second)
+            assert Path(f"{first}.cols").read_bytes() == written
+            assert Path(f"{second}.cols").read_bytes() == written
+
+    @pytest.mark.parametrize("kind", ["empty", "object int column", "256 labels"])
+    def test_a_table_the_file_cannot_hold_removes_the_old_one(self, tmp_path, kind):
+        table = synthesize_samples(83.33, 2.9, 6.9, 100.0, 300, (100.0, 2000.0), seed=1)
+        if kind == "empty":
+            table = table.take(np.zeros(len(table), dtype=bool))
+        elif kind == "object int column":
+            table = replace(table, count=np.array([2**70] + [1] * (len(table) - 1), dtype=object))
+        else:
+            table = replace(table, band=np.array([f"b{k % 256}" for k in range(len(table))]))
+        path = tmp_path / "bins.csv"
+        write_bins_csv(synthesize_samples(83.33, 2.9, 6.9, 100.0, 5, (100.0, 2000.0), seed=2),
+                       path)
+        assert Path(f"{path}.cols").exists()
+        write_bins_csv(table, path)
+        assert not Path(f"{path}.cols").exists()
+        assert read_bins_csv(path) == parsed(path)
+
+    def test_a_table_written_to_a_pipe_gets_no_column_file(self, tmp_path):
+        """Hashing what was written to ``/dev/stdout`` would wait on the pipe."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "plkit.cli", "synth", "--n", "3", "--out", "/dev/stdout"],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(",".join(analysis.BIN_FIELDS) + "\n")
+
+    def test_an_unwritable_column_file_leaves_the_table(self, tmp_path):
+        args = ["synth", "--n", 50, "--seed", 4]
+        assert run(args + ["--out", tmp_path / "want.csv"]) == 0
+        path = tmp_path / "bins.csv"
+        Path(f"{path}.cols").mkdir()  # no file can be written there
+        assert run(args + ["--out", path]) == 0
+        assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert read_bins_csv(path) == read_bins_csv(tmp_path / "want.csv")
 
 
 class TestParseResult:

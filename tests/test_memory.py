@@ -4,7 +4,8 @@ A single log's sample table reaches the bin stage uncopied, the log
 parsers keep only each chunk's parsed columns (not a table per chunk), and
 a pattern's values are float arrays from the chunk that parsed them on.
 Every reader joins each column's chunk pieces once and drops them as it
-goes, so a bin table or a sample file is not held twice. Peaks are
+goes, so a bin table or a sample file is not held twice; a bin table read
+from its column file comes column by column from the file. Peaks are
 measured with tracemalloc above the call's start.
 """
 
@@ -12,6 +13,7 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -92,20 +94,45 @@ def column_bytes(table) -> int:
     return sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
 
 
-def test_bin_table_read_peaks_near_its_columns(tmp_path):
-    """20,000 bins: four all-NaN columns built per chunk and every column
-    joined from its chunks at once peaked near 1.85 times the table's
-    bytes; the NaN columns built once and each column joined alone, near
-    1.0."""
-    k = np.arange(20_000)
+def write_bins(path, n: int) -> analysis.BinTable:
+    """``n`` bins written to ``path`` (with their column file)."""
+    k = np.arange(n)
     table = analysis.BinTable(
         k // 100, k % 100, *(np.full(k.size, np.nan) for _ in range(4)), np.ones(k.size, int),
         100.0 + (k % 37) * 0.5, 50.0 + k * 0.01, 60.0 + k * 0.01, 46.98 + k * 1e-6,
         7.48 + k * 1e-6, np.full(k.size, "LOS"), np.full(k.size, "3.5GHz"))
-    analysis.write_bins_csv(table, tmp_path / "bins.csv")
+    analysis.write_bins_csv(table, path)
+    return table
+
+
+def test_bin_table_read_peaks_near_its_columns(tmp_path):
+    """20,000 bins parsed from the text: four all-NaN columns built per
+    chunk and every column joined from its chunks at once peaked near 1.85
+    times the table's bytes; the NaN columns built once and each column
+    joined alone, near 1.0."""
+    table = write_bins(tmp_path / "bins.csv", 20_000)
+    Path(f"{tmp_path / 'bins.csv'}.cols").unlink()  # the text is parsed
     read, peak = traced_peak(analysis.read_bins_csv, tmp_path / "bins.csv")
     assert read == table
     assert peak < 1.3 * column_bytes(read)
+
+
+def test_bin_table_read_from_its_column_file_peaks_below_the_parse(tmp_path):
+    """3,000 bins, few enough that the parse's last chunk of Python cells
+    (near 0.4 MB) outweighs the table: read from the column file, whose hash
+    reads the text in 64 kB blocks and whose columns each come from one
+    ``np.fromfile``, the read peaks below the parse and near the columns'
+    bytes (1.01 times; reading the column file whole and copying its columns
+    out peaked near 1.35)."""
+    path = tmp_path / "bins.csv"
+    table = write_bins(path, 3_000)
+    with mock.patch.object(analysis, "read_csv", side_effect=AssertionError("text parsed")):
+        read, peak = traced_peak(analysis.read_bins_csv, path)
+    Path(f"{path}.cols").unlink()
+    parsed, parse_peak = traced_peak(analysis.read_bins_csv, path)
+    assert read == parsed == table
+    assert peak < parse_peak
+    assert peak < 1.1 * column_bytes(read)
 
 
 def test_sample_file_read_peaks_near_its_columns(tmp_path):
