@@ -587,7 +587,9 @@ def o2i_cdf(session: IndoorSession) -> CdfSeries:
     fading); values are indoor minus reference, so more-negative means
     more penetration loss.
     """
-    reference = float(np.median(session.outdoor_reference.rx_dbm))
+    # np.median would import numpy.ma (about 0.5 MB) to check for a masked array
+    outdoor = np.sort(session.outdoor_reference.rx_dbm)
+    reference = float(_medians(outdoor, np.zeros(1, int), np.array([outdoor.size]))[0])
     values = np.sort(session.indoor_samples.rx_dbm - reference, kind="stable")
     return CdfSeries(values, np.arange(1, values.size + 1) / values.size)
 
@@ -737,6 +739,8 @@ def _bin_refusal(ix, iy, lat, lon, d2d, d3d, pl, count, los, band) -> Optional[s
     first.check(rule.fails(names)[codes], lambda k: rule.refusal(names[codes[k]]))
     if any("\0" in name for name in band[0].tolist()):
         check_band(first, band[0][band[1]].tolist())
+    has_cr = np.array(["\r" in name for name in band[0].tolist()], dtype=bool)  # csv leaves it unquoted
+    first.check(has_cr[band[1]], lambda k: f"band must not hold a CR, got {band[0][band[1][k]]!r}")
     return None if first.error is None else f"bin ({ix[first.n]}, {iy[first.n]}): {first.error}"
 
 
@@ -756,17 +760,17 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_columns(path, columns: list, labels: list) -> None:
-    """Replace the column file of the bin table just written at ``path``;
-    remove it for an empty table, an int column that is not a machine int,
-    over 255 labels in a column, a table that is no regular file (hashing a
-    pipe would wait on it) or a file that cannot be written."""
+def _write_columns(path, sha256: str, columns: list, labels: list) -> None:
+    """Replace the column file of the bin table just written at ``path``
+    with the bytes whose hash is ``sha256``; remove it for an empty table, an
+    int column that is not a machine int, over 255 labels in a column, a
+    table that is no regular file or a file that cannot be written."""
     try:
         if (len(columns[0]) and all(columns[k].dtype.kind == "i" for k in (0, 1, 7))
                 and all(len(names) <= 255 for names, _ in labels)
                 and os.path.isfile(path) and not os.path.islink(path)):
             head = {"version": COLUMN_FILE_VERSION, "rows": len(columns[0]),
-                    "sha256": _sha256(path), "los": labels[0][0].tolist(),
+                    "sha256": sha256, "los": labels[0][0].tolist(),
                     "band": labels[1][0].tolist()}
             with open(f"{path}.cols", "wb") as fh:
                 fh.write(json.dumps(head).encode() + b"\n")
@@ -817,8 +821,9 @@ def write_bins_csv(bins: Union[BinTable, Sequence[GridBin]], path) -> None:
     if refusal is not None:
         raise ValueError(refusal)
     cells = (np.where(np.isnan(c), None, c) if np.isnan(c).any() else c for c in (lat, lon))
-    write_csv(path, BIN_FIELDS, [*columns[:2], *cells, *columns[4:], bins.los, bins.band])
-    _write_columns(path, columns, labels)
+    digest = hashlib.sha256()
+    write_csv(path, BIN_FIELDS, [*columns[:2], *cells, *columns[4:], bins.los, bins.band], digest)
+    _write_columns(path, digest.hexdigest(), columns, labels)
 
 
 def _read_bin_rows(chunk: Chunk) -> list:

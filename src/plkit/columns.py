@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import itertools
 import json
 import math
@@ -359,15 +360,30 @@ def int_array(values: Sequence[int]) -> np.ndarray:
 _QUOTABLE = re.compile('[,"\r\n]')
 
 
-def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+class _HashingFile(io.FileIO):
+    """A file opened for writing that feeds each byte it writes to ``digest``."""
+
+    def __init__(self, path, digest):
+        super().__init__(path, "w")
+        self.digest = digest
+
+    def write(self, block) -> int:
+        written = super().write(block)
+        self.digest.update(memoryview(block)[:written])
+        return written
+
+
+def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray], digest=None) -> None:
     """Write equal-length numpy columns as a CSV file, one line per row
     after the header, cell for cell as ``csv.writer`` writes them: floats
     with ``repr``, ints with ``str``, None as an empty cell, and strings
     quoted where they need it. Rows go out ``CHUNK_ROWS`` at a time, so
-    that only a chunk of the table is ever held as Python objects.
+    that only a chunk of the table is ever held as Python objects. A
+    ``hashlib`` object given as ``digest`` is updated with the bytes written.
     """
     kinds = [c.dtype.kind for c in columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with (open(path, "w", newline="", encoding="utf-8") if digest is None else
+          io.TextIOWrapper(io.BufferedWriter(_HashingFile(path, digest)), "utf-8", newline="")) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), CHUNK_ROWS):
             _write_lines(fh, kinds, [c[start:start + CHUNK_ROWS].tolist() for c in columns])

@@ -4,6 +4,7 @@ ride along (compare's height consistency, MultiPolygon features,
 duplicated antenna-pattern nodes)."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -123,6 +124,7 @@ class TestWriteOnlyWhatReadsBack:
         (47.0, math.nan, "3.5GHz",
          "need lat and lon both set or both empty, got lat=47.0, lon=nan"),
         (47.0, 8.0, "3.5\0GHz", "band must not hold a NUL, got '3.5\\x00GHz'"),
+        (47.0, 8.0, "3.5\rGHz", "band must not hold a CR, got '3.5\\rGHz'"),
     ])
     def test_a_bin_the_reader_refuses_or_changes_is_not_written(self, tmp_path, lat, lon, band,
                                                                 message):
@@ -244,12 +246,12 @@ class TestRecords:
 @st.composite
 def written_tables(draw):
     """A table the writer takes: ``bin_tables`` with d3d_m >= d2d_m, bands of
-    any text but a NUL (quoted cells included), and a negative NaN where a
+    any text but a NUL or a CR (quoted cells included), and a negative NaN where a
     bin has no position, which the writer writes as the reader's NaN."""
     table = draw(bin_tables())
     n = len(table)
     bands = st.one_of(st.sampled_from(["", "3.5GHz", "800MHz"]),
-                      st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=4))
+                      st.text(st.characters(codec="utf-8", exclude_characters="\0\r"), max_size=4))
     lat, lon = (np.where(np.isnan(c), -np.nan, c) for c in (table.lat, table.lon))
     return replace(table, d3d_m=np.maximum(table.d2d_m, table.d3d_m), lat=lat, lon=lon,
                    band=np.array(draw(st.lists(bands, min_size=n, max_size=n)), dtype=str))
@@ -403,8 +405,17 @@ class TestColumnFile:
         assert not Path(f"{path}.cols").exists()
         assert read_bins_csv(path) == parsed(path)
 
+    @pytest.mark.parametrize("band", ["3.5GHz", 'a,"b'])  # one format string; csv.writer
+    def test_the_header_names_the_hash_of_the_bytes_written(self, tmp_path, band):
+        table = synthesize_samples(83.33, 2.9, 6.9, 100.0, 700, (100.0, 2000.0), seed=3)
+        path = tmp_path / "bins.csv"
+        write_bins_csv(replace(table, band=np.full(len(table), band)), path)
+        head = json.loads(Path(f"{path}.cols").read_bytes().split(b"\n", 1)[0])
+        assert head["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert read_bins_csv(path).band[0] == band
+
     def test_a_table_written_to_a_pipe_gets_no_column_file(self, tmp_path):
-        """Hashing what was written to ``/dev/stdout`` would wait on the pipe."""
+        """The table goes out whole and nothing is written beside the pipe."""
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(
             [sys.executable, "-m", "plkit.cli", "synth", "--n", "3", "--out", "/dev/stdout"],

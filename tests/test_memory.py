@@ -9,6 +9,9 @@ from its column file comes column by column from the file. Peaks are
 measured with tracemalloc above the call's start.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -146,3 +149,29 @@ def test_sample_file_read_peaks_near_its_columns(tmp_path):
     read, peak = traced_peak(read_samples_csv, tmp_path / "samples.csv")
     assert read.beam_id.tolist() == table.beam_id.tolist() and len(read) == k.size
     assert peak < 1.9 * column_bytes(read)
+
+
+def test_o2i_cdf_imports_no_masked_arrays():
+    """``np.median`` imports ``numpy.ma`` (about 0.5 MB of modules, loaded in
+    the middle of a run) to look for a masked array; the median of the
+    outdoor reference is taken without it."""
+    code = """
+import sys
+import numpy as np
+from plkit.analysis import o2i_cdf
+from plkit.ingest import IndoorSession, SampleTable
+
+def table(rx):
+    n = len(rx)
+    return SampleTable(np.arange(1, n + 1), np.full(n, 47.0), np.full(n, 8.0), np.zeros(n),
+                       np.array(rx), np.full(n, "3.5GHz"), np.full(n, "TESTBED"),
+                       np.full(n, None), np.full(n, None))
+
+cdf = o2i_cdf(IndoorSession("B", 0, table([-90.0, -95.0, -99.0]), table([-70.0, -60.0, -75.0, -71.0])))
+assert cdf.values.tolist() == [-28.5, -24.5, -19.5], cdf.values  # reference -70.5
+assert "numpy.ma" not in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
